@@ -93,7 +93,10 @@ audit: lint
 # wire decoders: the /labels ingestion body, the W3C traceparent
 # header parser (every proxied request runs it), and the on-disk
 # segment decoder (which must keep the valid prefix of any torn or
-# corrupted segment file without panicking).
+# corrupted segment file without panicking), and the /predict_proba
+# codec, differentially against encoding/json: request decode and
+# response parse must agree on accept/reject and decode bit-equal
+# values, and the response encoder must write json.Encoder's bytes.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzKLLMerge -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzKLLRoundTrip -fuzztime 10s ./internal/stats
@@ -101,3 +104,6 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzLabelsDecode -fuzztime 10s ./internal/labels
 	$(GO) test -run NONE -fuzz FuzzTraceparentParse -fuzztime 10s ./internal/obs
 	$(GO) test -run NONE -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/obs/tsdb
+	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/cloud
+	$(GO) test -run NONE -fuzz FuzzParseProbaResponse -fuzztime 10s -fuzzminimizetime 2s ./internal/cloud
+	$(GO) test -run NONE -fuzz FuzzEncodeProbaResponse -fuzztime 10s -fuzzminimizetime 2s ./internal/cloud

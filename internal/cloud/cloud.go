@@ -83,19 +83,21 @@ func encodeRequest(ds *data.Dataset) predictRequest {
 }
 
 // decodeRequest reconstructs an unlabeled dataset on the server side.
-func decodeRequest(req predictRequest, numClasses int) (*data.Dataset, error) {
+// It rejects bodies the dataframe cannot hold (duplicate column names,
+// columns of unequal length) instead of letting the frame panic.
+func decodeRequest(req requestBody, numClasses int) (*data.Dataset, error) {
 	ds := &data.Dataset{Classes: make([]string, numClasses)}
 	for i := range ds.Classes {
 		ds.Classes[i] = fmt.Sprintf("class%d", i)
 	}
-	if len(req.Images) > 0 {
-		if req.Width <= 0 || req.Height <= 0 {
+	if len(req.images) > 0 {
+		if req.width <= 0 || req.height <= 0 {
 			return nil, fmt.Errorf("cloud: image request lacks dimensions")
 		}
-		set := imgdata.NewSet(req.Width, req.Height)
-		for i, px := range req.Images {
-			if len(px) != req.Width*req.Height {
-				return nil, fmt.Errorf("cloud: image %d has %d pixels, want %d", i, len(px), req.Width*req.Height)
+		set := imgdata.NewSet(req.width, req.height)
+		for i, px := range req.images {
+			if len(px) != req.width*req.height {
+				return nil, fmt.Errorf("cloud: image %d has %d pixels, want %d", i, len(px), req.width*req.height)
 			}
 			set.Append(px)
 		}
@@ -105,28 +107,28 @@ func decodeRequest(req predictRequest, numClasses int) (*data.Dataset, error) {
 	}
 	f := frame.New()
 	n := -1
-	for _, wc := range req.Columns {
-		switch wc.Kind {
-		case "numeric":
-			num := make([]float64, len(wc.Num))
-			for i, v := range wc.Num {
-				if v == nil {
-					num[i] = math.NaN()
-				} else {
-					num[i] = *v
-				}
-			}
-			f.AddNumeric(wc.Name, num)
-			n = len(num)
-		case "categorical":
-			f.AddCategorical(wc.Name, wc.Str)
-			n = len(wc.Str)
-		case "text":
-			f.AddText(wc.Name, wc.Str)
-			n = len(wc.Str)
-		default:
-			return nil, fmt.Errorf("cloud: unknown column kind %q", wc.Kind)
+	for _, c := range req.columns {
+		rows := len(c.str)
+		if c.kind == "numeric" {
+			rows = len(c.num)
 		}
+		if f.Column(c.name) != nil {
+			return nil, fmt.Errorf("cloud: duplicate column %q", c.name)
+		}
+		if n >= 0 && rows != n {
+			return nil, fmt.Errorf("cloud: column %q has %d rows, want %d", c.name, rows, n)
+		}
+		switch c.kind {
+		case "numeric":
+			f.AddNumeric(c.name, c.num)
+		case "categorical":
+			f.AddCategorical(c.name, c.str)
+		case "text":
+			f.AddText(c.name, c.str)
+		default:
+			return nil, fmt.Errorf("cloud: unknown column kind %q", c.kind)
+		}
+		n = rows
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("cloud: request has no columns or images")
@@ -178,8 +180,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var req predictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := parseRequestBody(body)
+	if err != nil {
 		http.Error(w, "invalid JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -189,12 +191,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	proba := s.model.PredictProba(ds)
-	resp := predictResponse{NumClasses: proba.Cols, Probabilities: make([][]float64, proba.Rows)}
-	for i := 0; i < proba.Rows; i++ {
-		resp.Probabilities[i] = append([]float64(nil), proba.Row(i)...)
-	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	// Roughly 20 bytes per probability: one allocation for typical rows.
+	out, err := appendProbaResponse(make([]byte, 0, 32+20*len(proba.Data)), proba)
+	if err == nil {
+		_, err = w.Write(out)
+	}
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -313,8 +316,8 @@ func EncodeRequest(ds *data.Dataset) ([]byte, error) {
 // feature columns of a tapped request for incident forensics without
 // re-implementing the wire schema.
 func DecodeRequest(body []byte, classes []string) (*data.Dataset, error) {
-	var req predictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := parseRequestBody(body)
+	if err != nil {
 		return nil, fmt.Errorf("cloud: decoding request: %w", err)
 	}
 	ds, err := decodeRequest(req, len(classes))
@@ -330,21 +333,14 @@ func DecodeRequest(body []byte, classes []string) (*data.Dataset, error) {
 // (e.g. the shadow-validation gateway) can tap logged response bodies
 // without re-implementing the wire schema.
 func ParseProbaResponse(body []byte) (proba *linalg.Matrix, numClasses int, err error) {
-	var pr predictResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
+	pb, err := parseProbaBody(body)
+	if err != nil {
 		return nil, 0, fmt.Errorf("cloud: decoding response: %w", err)
 	}
-	if pr.NumClasses <= 0 {
-		return nil, 0, fmt.Errorf("cloud: response reports %d classes", pr.NumClasses)
+	if proba, err = pb.matrix(); err != nil {
+		return nil, 0, err
 	}
-	out := linalg.NewMatrix(len(pr.Probabilities), pr.NumClasses)
-	for i, row := range pr.Probabilities {
-		if len(row) != pr.NumClasses {
-			return nil, 0, fmt.Errorf("cloud: row %d has %d probabilities, want %d", i, len(row), pr.NumClasses)
-		}
-		copy(out.Row(i), row)
-	}
-	return out, pr.NumClasses, nil
+	return proba, proba.Cols, nil
 }
 
 // NumClasses implements data.Model. It is learned from the first

@@ -216,10 +216,19 @@ func TestParseProbaResponse(t *testing.T) {
 }
 
 func TestDecodeRequestValidation(t *testing.T) {
-	if _, err := decodeRequest(predictRequest{Images: [][]float64{{1, 2}}}, 2); err == nil {
+	if _, err := decodeRequest(requestBody{images: [][]float64{{1, 2}}}, 2); err == nil {
 		t.Fatal("missing image dims should error")
 	}
-	if _, err := decodeRequest(predictRequest{Columns: []wireColumn{{Name: "x", Kind: "bogus"}}}, 2); err == nil {
+	if _, err := decodeRequest(requestBody{columns: []requestColumn{{name: "x", kind: "bogus"}}}, 2); err == nil {
 		t.Fatal("unknown kind should error")
+	}
+	// Bodies the dataframe cannot hold are rejected, not panicked on.
+	dup := requestBody{columns: []requestColumn{{name: "x", kind: "text", str: []string{"a"}}, {name: "x", kind: "numeric", num: []float64{1}}}}
+	if _, err := decodeRequest(dup, 2); err == nil {
+		t.Fatal("duplicate column name should error")
+	}
+	ragged := requestBody{columns: []requestColumn{{name: "x", kind: "text", str: []string{"a"}}, {name: "y", kind: "numeric", num: []float64{1, 2}}}}
+	if _, err := decodeRequest(ragged, 2); err == nil {
+		t.Fatal("columns of unequal length should error")
 	}
 }

@@ -43,7 +43,7 @@ func TestPredictionStatisticsCoarseStep(t *testing.T) {
 
 func TestKSFeatures(t *testing.T) {
 	a := linalg.FromRows([][]float64{{0.1, 0.9}, {0.2, 0.8}, {0.3, 0.7}})
-	same := ksFeatures(a, a)
+	same := ksFeatures(nil, SortedColumns(a), NewBatchView(a))
 	if len(same) != 4 {
 		t.Fatalf("ks feature count = %d", len(same))
 	}

@@ -24,12 +24,66 @@ import (
 // non-parametric estimate of each output distribution. With the default
 // step of 5 this yields 21 features per class.
 func PredictionStatistics(proba *linalg.Matrix, step float64) []float64 {
-	grid := stats.PercentileGrid(step)
-	out := make([]float64, 0, len(grid)*proba.Cols)
-	for c := 0; c < proba.Cols; c++ {
-		col := proba.Col(c)
-		out = append(out, stats.Percentiles(col, grid)...)
+	return NewBatchView(proba).PredictionStatistics(step)
+}
+
+// BatchView is one batch of model outputs with every class column
+// sorted once. Every per-batch statistic of the shadow path reads the
+// sorted columns from here instead of re-sorting them: each predictor's
+// percentile features, the validator's KS features and the monitor's
+// drift KS and median shift. Results are bit-identical to the unsorted
+// entry points, which build a view and call the sorted form. A view is
+// not safe for concurrent use.
+type BatchView struct {
+	rows   int
+	sorted [][]float64
+	// step and stats cache the last percentile-feature vector, so a
+	// monitor and a validator whose predictors share the percentile
+	// step featurize the batch once.
+	step  float64
+	stats []float64
+}
+
+// NewBatchView sorts each class column of proba once.
+func NewBatchView(proba *linalg.Matrix) *BatchView {
+	return &BatchView{rows: proba.Rows, sorted: SortedColumns(proba)}
+}
+
+// SortedColumns returns every column of m in stats.SortedCopy order.
+// Monitors and validators sort their fixed reference outputs with it
+// once, when built or loaded.
+func SortedColumns(m *linalg.Matrix) [][]float64 {
+	cols := make([][]float64, m.Cols)
+	for c := range cols {
+		cols[c] = m.Col(c)
+		stats.Sort(cols[c])
 	}
+	return cols
+}
+
+// Rows returns the number of outputs in the batch.
+func (v *BatchView) Rows() int { return v.rows }
+
+// Cols returns the number of class columns.
+func (v *BatchView) Cols() int { return len(v.sorted) }
+
+// SortedCol returns class column c in ascending order. Callers must not
+// modify it.
+func (v *BatchView) SortedCol(c int) []float64 { return v.sorted[c] }
+
+// PredictionStatistics is the package-level PredictionStatistics of the
+// viewed batch. The result is shared with later callers asking for the
+// same step and must not be modified.
+func (v *BatchView) PredictionStatistics(step float64) []float64 {
+	if v.stats != nil && v.step == step {
+		return v.stats
+	}
+	grid := stats.PercentileGrid(step)
+	out := make([]float64, 0, len(grid)*len(v.sorted))
+	for _, col := range v.sorted {
+		out = stats.AppendPercentilesSorted(out, col, grid)
+	}
+	v.step, v.stats = step, out
 	return out
 }
 
@@ -80,15 +134,14 @@ func SubsampleBatch(test *data.Dataset, rng *rand.Rand) *data.Dataset {
 	return test.SelectRows(idx)
 }
 
-// ksFeatures computes, per class column, the Kolmogorov–Smirnov D
-// statistic and p-value between the model's outputs on the retained test
-// set and on the serving batch — the hypothesis-test features the
-// validator adds on top of the percentile features.
-func ksFeatures(testProba, servingProba *linalg.Matrix) []float64 {
-	out := make([]float64, 0, 2*testProba.Cols)
-	for c := 0; c < testProba.Cols; c++ {
-		res := stats.KolmogorovSmirnov(testProba.Col(c), servingProba.Col(c))
-		out = append(out, res.Statistic, res.PValue)
+// ksFeatures appends, per class column, the Kolmogorov–Smirnov D
+// statistic and p-value between the model's sorted outputs on the
+// retained test set and on the serving batch — the hypothesis-test
+// features the validator adds on top of the percentile features.
+func ksFeatures(dst []float64, testSorted [][]float64, serving *BatchView) []float64 {
+	for c, ref := range testSorted {
+		res := stats.KolmogorovSmirnovSorted(ref, serving.SortedCol(c))
+		dst = append(dst, res.Statistic, res.PValue)
 	}
-	return out
+	return dst
 }

@@ -230,6 +230,9 @@ func (v *Validator) UnmarshalJSON(b []byte) error {
 	v.predictor = st.Predictor
 	v.testScore = st.TestScore
 	v.testOutputs = outputs
+	if outputs != nil {
+		v.testSorted = SortedColumns(outputs)
+	}
 	v.trainPos = st.TrainPos
 	v.trainTotal = st.TrainTotal
 	v.model = nil

@@ -344,7 +344,13 @@ func (p *Predictor) Estimate(serving *data.Dataset) float64 {
 // EstimateFromProba estimates the score directly from a matrix of model
 // outputs, for callers that already hold the predictions.
 func (p *Predictor) EstimateFromProba(proba *linalg.Matrix) float64 {
-	return p.EstimateFromFeatures(PredictionStatistics(proba, p.cfg.PercentileStep))
+	return p.EstimateFromView(NewBatchView(proba))
+}
+
+// EstimateFromView is EstimateFromProba for a batch whose columns are
+// already sorted.
+func (p *Predictor) EstimateFromView(batch *BatchView) float64 {
+	return p.EstimateFromFeatures(batch.PredictionStatistics(p.cfg.PercentileStep))
 }
 
 // EstimateWithUncertainty returns the score estimate together with an

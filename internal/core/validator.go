@@ -84,6 +84,7 @@ type Validator struct {
 	predictor   *Predictor // supplies the score-estimate feature
 	testScore   float64
 	testOutputs *linalg.Matrix
+	testSorted  [][]float64 // SortedColumns(testOutputs), the KS reference
 	trainPos    int
 	trainTotal  int
 }
@@ -131,6 +132,7 @@ func TrainValidatorCtx(ctx context.Context, model data.Model, test *data.Dataset
 	_, _, setupDone := stageSpan(ctx, "validator_setup")
 	refPart, batchPart := test.Split(0.5, jobRNG(cfg.Seed+20, streamValidatorSetup, 0))
 	v.testOutputs = model.PredictProba(refPart)
+	v.testSorted = SortedColumns(v.testOutputs)
 	v.testScore = cfg.Score(model.PredictProba(test), test.Labels)
 	setupDone()
 
@@ -247,11 +249,12 @@ func scoreNoise(score float64, n int) float64 {
 // question "did the score drop more than t", and a classifier given both
 // signals overfits the former (corruption of a robust model often leaves
 // its accuracy intact).
-func (v *Validator) features(proba *linalg.Matrix) []float64 {
-	estimate := v.predictor.EstimateFromProba(proba)
-	f := []float64{estimate, estimate - (1-v.cfg.Threshold)*v.testScore}
+func (v *Validator) features(batch *BatchView) []float64 {
+	estimate := v.predictor.EstimateFromView(batch)
+	f := make([]float64, 2, 2+2*len(v.testSorted))
+	f[0], f[1] = estimate, estimate-(1-v.cfg.Threshold)*v.testScore
 	if !v.cfg.DisableKSFeatures {
-		f = append(f, ksFeatures(v.testOutputs, proba)...)
+		f = ksFeatures(f, v.testSorted, batch)
 	}
 	return f
 }
@@ -266,9 +269,13 @@ func (v *Validator) Violation(serving *data.Dataset) bool {
 // ViolationFromProba is Violation for callers already holding the model
 // outputs.
 func (v *Validator) ViolationFromProba(proba *linalg.Matrix) bool {
-	X := linalg.FromRows([][]float64{v.features(proba)})
-	out := v.clf.PredictProba(X)
-	return out.At(0, 1) >= 0.5
+	return v.ViolationFromView(NewBatchView(proba))
+}
+
+// ViolationFromView is ViolationFromProba for a batch whose columns are
+// already sorted.
+func (v *Validator) ViolationFromView(batch *BatchView) bool {
+	return v.violationProbability(batch) >= 0.5
 }
 
 // TestScore returns the clean-test reference score.
@@ -288,6 +295,9 @@ func (v *Validator) TrainBalance() (violations, total int) {
 // that the serving batch violates the threshold, for callers that want to
 // apply their own alarm cutoff or inspect calibration.
 func (v *Validator) ViolationProbability(proba *linalg.Matrix) float64 {
-	X := linalg.FromRows([][]float64{v.features(proba)})
-	return v.clf.PredictProba(X).At(0, 1)
+	return v.violationProbability(NewBatchView(proba))
+}
+
+func (v *Validator) violationProbability(batch *BatchView) float64 {
+	return v.clf.PredictProba(matrixFromRow(v.features(batch))).At(0, 1)
 }

@@ -62,7 +62,7 @@ func TestValidatorWithoutKSFeatures(t *testing.T) {
 	}
 	// Feature vector without KS must be exactly [estimate, margin].
 	proba := model.PredictProba(serving)
-	if got := len(val.features(proba)); got != 2 {
+	if got := len(val.features(NewBatchView(proba))); got != 2 {
 		t.Fatalf("feature count without KS = %d, want 2", got)
 	}
 	withKS, err := TrainValidator(model, test, ValidatorConfig{
@@ -74,7 +74,7 @@ func TestValidatorWithoutKSFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(withKS.features(proba)); got != 2+2*2 {
+	if got := len(withKS.features(NewBatchView(proba))); got != 2+2*2 {
 		t.Fatalf("feature count with KS = %d, want 6", got)
 	}
 }
@@ -152,12 +152,12 @@ func TestValidatorFeatureMarginSign(t *testing.T) {
 	}
 	// On clean serving data the margin feature (estimate - (1-t)*testScore)
 	// should be positive; after catastrophic scaling it should drop.
-	clean := val.features(model.PredictProba(serving))
+	clean := val.features(NewBatchView(model.PredictProba(serving)))
 	if clean[1] <= 0 {
 		t.Fatalf("clean margin = %v, want > 0", clean[1])
 	}
 	heavy := errorgen.Scaling{}.Corrupt(serving, 0.95, rng)
-	hf := val.features(model.PredictProba(heavy))
+	hf := val.features(NewBatchView(model.PredictProba(heavy)))
 	if hf[1] >= clean[1] {
 		t.Fatalf("margin did not shrink under catastrophic corruption: %v vs %v", hf[1], clean[1])
 	}
@@ -181,15 +181,15 @@ func TestValidatorFeatureVectorDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	proba := model.PredictProba(serving)
-	a := val.features(proba)
-	b := val.features(proba)
+	a := val.features(NewBatchView(proba))
+	b := val.features(NewBatchView(proba))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("features not deterministic for identical outputs")
 		}
 	}
 	var m *linalg.Matrix = proba.Clone()
-	c := val.features(m)
+	c := val.features(NewBatchView(m))
 	for i := range a {
 		if a[i] != c[i] {
 			t.Fatal("features differ for cloned outputs")

@@ -405,6 +405,53 @@ func TestMetricsMatchTraffic(t *testing.T) {
 	}
 }
 
+// TestShadowClassMismatchDropped sends batches through a backend that
+// answers with 1 and then 3 classes against a 2-class monitor. The tap
+// must drop both under fate="class_mismatch" without calling the
+// monitor (whose featurizer would panic and take the gateway down),
+// and the gateway must keep serving and observing well-formed answers.
+func TestShadowClassMismatchDropped(t *testing.T) {
+	f := getFixture(t)
+	mon := newMonitor(t, f)
+	real := cloud.NewServer(f.model).Handler()
+	var calls atomic.Int64
+	g, gwSrv := newGateway(t, Config{Monitor: mon}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		classes := []int{1, 3}
+		if n := calls.Add(1); n <= int64(len(classes)) {
+			io.Copy(io.Discard, r.Body)
+			k := classes[n-1]
+			probs := make([][]float64, 40)
+			for i := range probs {
+				probs[i] = make([]float64, k)
+				probs[i][0] = 1
+			}
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(map[string]any{"probabilities": probs, "num_classes": k})
+			return
+		}
+		real.ServeHTTP(w, r)
+	}))
+
+	body := encodeBatch(t, f.serving)
+	for i := 0; i < 3; i++ {
+		if resp, _ := post(t, gwSrv.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: gateway returned %d", i, resp.StatusCode)
+		}
+	}
+	waitObserved(t, g, 1)
+
+	s := scrapeURL(t, gwSrv.URL)
+	if got := s[`gateway_shadow_batches_total{fate="class_mismatch"}`]; got != 2 {
+		t.Fatalf(`shadow class_mismatch = %v, want 2`, got)
+	}
+	if got := s[`gateway_shadow_batches_total{fate="observed"}`]; got != 1 {
+		t.Fatalf(`shadow observed = %v, want 1`, got)
+	}
+	if got := mon.Observed(); got != 1 {
+		t.Fatalf("monitor observed %d batches, want only the 2-class one", got)
+	}
+}
+
 // TestShadowQueueDropsOldest pins the bounded-queue semantics: under
 // pressure the tap evicts the oldest batch rather than blocking.
 func TestShadowQueueDropsOldest(t *testing.T) {

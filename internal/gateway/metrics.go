@@ -50,7 +50,7 @@ func newMetrics() *Metrics {
 		shadowDepth: reg.Gauge("gateway_shadow_queue_depth",
 			"Batches waiting in the shadow-validation queue."),
 		shadowDropped: reg.CounterVec("gateway_shadow_batches_total",
-			"Shadow-validation batches by fate (observed, dropped, undecodable).", "fate"),
+			"Shadow-validation batches by fate (observed, dropped, undecodable, raw_undecodable, class_mismatch).", "fate"),
 		estimate: reg.Gauge("gateway_estimated_score",
 			"Latest shadow-validation score estimate for the backend model."),
 		alarm: reg.Gauge("gateway_alarm",

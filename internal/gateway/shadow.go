@@ -170,6 +170,16 @@ func (t *shadowTap) observe(item shadowItem) {
 		}
 		return
 	}
+	// The monitor's predictor featurizes a fixed number of classes; a
+	// backend answering with another class count (a misrouted or
+	// redeployed model) is dropped here instead of reaching it.
+	if ref := t.mon.Predictor().TestOutputs(); ref != nil && proba.Cols != ref.Cols {
+		t.metrics.shadowDropped.Add(1, "class_mismatch")
+		if t.logger != nil {
+			t.logger.Printf("gateway: shadow tap drops a %d-class batch, the monitor expects %d classes (request %q)", proba.Cols, ref.Cols, item.requestID)
+		}
+		return
+	}
 	var batch *data.Dataset
 	if t.rawDecoder != nil && item.reqBody != nil {
 		ds, err := t.rawDecoder(item.reqBody)

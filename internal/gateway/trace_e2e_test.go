@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net/http"
 	"testing"
-	"time"
 
 	"blackboxval/internal/cloud"
 	"blackboxval/internal/monitor"
@@ -57,7 +56,7 @@ func TestEndToEndTraceStitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	gwTracer.SetJournal(gj)
-	_, gwSrv := newGateway(t, Config{
+	gw, gwSrv := newGateway(t, Config{
 		Monitor: mon, Tracer: gwTracer, TraceSampleRate: 1,
 	}, backendHandler)
 
@@ -91,14 +90,10 @@ func TestEndToEndTraceStitch(t *testing.T) {
 	}
 
 	// Wait for the shadow tap to feed the monitor, then flush all
-	// three journals like a process shutdown would.
-	deadline := time.Now().Add(10 * time.Second)
-	for mon.Observed() < 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if mon.Observed() < 1 {
-		t.Fatal("shadow batch never reached the monitor")
-	}
+	// three journals like a process shutdown would. ShadowObserved
+	// counts a batch only after ObserveBatchProbaCtx returned, i.e.
+	// after its monitor_observe span ended.
+	waitObserved(t, gw, 1)
 	for _, j := range []*obs.SpanJournal{bj, mj, gj} {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)

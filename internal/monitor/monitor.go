@@ -137,17 +137,19 @@ type Monitor struct {
 	// lock and is fed outside m.mu, so OnWindowClose hooks (the alert
 	// engine) may call back into the monitor.
 	timeline *obs.TimeSeries
-	// refCols / refP50 are the per-class reference distributions (held-out
-	// test outputs) that serving batches drift against. refSketches are
-	// the same distributions as mergeable sketches — the static half of
-	// the drift-test sufficient statistics /federate ships, so a fleet
-	// aggregator can recompute KS against merged serving distributions.
-	refCols     [][]float64
+	// refSorted / refP50 are the per-class reference distributions
+	// (held-out test outputs, each column sorted once here) that serving
+	// batches drift against. refSketches are the same distributions as
+	// mergeable sketches — the static half of the drift-test sufficient
+	// statistics /federate ships, so a fleet aggregator can recompute KS
+	// against merged serving distributions.
+	refSorted   [][]float64
 	refP50      []float64
 	refSketches map[string]*stats.KLL
 
 	mu        sync.Mutex
 	seq       int
+	observed  int // batches whose timeline feed returned (see Observed)
 	run       int // current consecutive-violation run length
 	alarms    int
 	history   []Record
@@ -185,14 +187,13 @@ func New(cfg Config) (*Monitor, error) {
 		timeline: timeline,
 	}
 	if ref := cfg.Predictor.TestOutputs(); ref != nil && ref.Rows > 0 {
-		m.refCols = make([][]float64, ref.Cols)
+		m.refSorted = core.SortedColumns(ref)
 		m.refP50 = make([]float64, ref.Cols)
 		m.refSketches = make(map[string]*stats.KLL, ref.Cols)
 		for c := 0; c < ref.Cols; c++ {
-			m.refCols[c] = ref.Col(c)
-			m.refP50[c] = stats.Percentile(m.refCols[c], 50)
+			m.refP50[c] = stats.PercentileSorted(m.refSorted[c], 50)
 			sk := stats.NewKLL()
-			for _, v := range m.refCols[c] {
+			for _, v := range ref.Col(c) {
 				sk.Add(v)
 			}
 			m.refSketches[probaSeries(c)] = sk
@@ -281,7 +282,12 @@ func (m *Monitor) ObserveBatchProbaCtx(ctx context.Context, batch *data.Dataset,
 }
 
 func (m *Monitor) observeBatchProba(batch *data.Dataset, proba *linalg.Matrix, requestID, traceID string) Record {
-	estimate := m.cfg.Predictor.EstimateFromProba(proba)
+	// One sorted view serves h, the validator's features and the drift
+	// statistics. The validator still runs its own internal predictor:
+	// only the sorted columns (and the percentile features, when both
+	// predictors use the same step) are shared, never the estimate.
+	view := core.NewBatchView(proba)
+	estimate := m.cfg.Predictor.EstimateFromView(view)
 	rec := Record{
 		Size:              proba.Rows,
 		Estimate:          estimate,
@@ -291,13 +297,14 @@ func (m *Monitor) observeBatchProba(batch *data.Dataset, proba *linalg.Matrix, r
 		Window:            m.timeline.OpenIndex(),
 	}
 	if m.cfg.Validator != nil {
-		rec.ValidatorViolation = m.cfg.Validator.ViolationFromProba(proba)
+		rec.ValidatorViolation = m.cfg.Validator.ViolationFromView(view)
 	}
 	rec.Violating = rec.EstimateViolation || rec.ValidatorViolation
-	m.drift(&rec, proba)
+	m.drift(&rec, view)
 	m.commitState(&rec)
 	m.notifyObservers(batch, proba, rec)
 	m.feedTimeline(&rec, proba)
+	m.markObserved()
 	return rec
 }
 
@@ -307,16 +314,16 @@ func (m *Monitor) observeBatchProba(batch *data.Dataset, proba *linalg.Matrix, r
 // predictor kept no test outputs or the batch's class count disagrees
 // with the reference (a misconfigured backend should not panic the
 // monitor).
-func (m *Monitor) drift(rec *Record, proba *linalg.Matrix) {
-	if m.refCols == nil || proba.Cols != len(m.refCols) || proba.Rows == 0 {
+func (m *Monitor) drift(rec *Record, view *core.BatchView) {
+	if m.refSorted == nil || view.Cols() != len(m.refSorted) || view.Rows() == 0 {
 		return
 	}
-	rec.KS = make([]float64, proba.Cols)
-	rec.P50Shift = make([]float64, proba.Cols)
-	for c := 0; c < proba.Cols; c++ {
-		col := proba.Col(c)
-		rec.KS[c] = stats.KolmogorovSmirnov(col, m.refCols[c]).Statistic
-		rec.P50Shift[c] = stats.Percentile(col, 50) - m.refP50[c]
+	rec.KS = make([]float64, len(m.refSorted))
+	rec.P50Shift = make([]float64, len(m.refSorted))
+	for c, ref := range m.refSorted {
+		col := view.SortedCol(c)
+		rec.KS[c] = stats.KolmogorovSmirnovSorted(col, ref).Statistic
+		rec.P50Shift[c] = stats.PercentileSorted(col, 50) - m.refP50[c]
 		if rec.KS[c] > rec.KSMax {
 			rec.KSMax = rec.KS[c]
 		}
@@ -428,6 +435,7 @@ func (m *Monitor) ObserveRow(probaRow []float64) (rec Record, done bool) {
 	m.commitState(&rec)
 	m.notifyObservers(nil, nil, rec)
 	m.feedTimeline(&rec, nil)
+	m.markObserved()
 	return rec, true
 }
 
@@ -459,12 +467,21 @@ func (m *Monitor) Timeline() *obs.TimeSeries { return m.timeline }
 func (m *Monitor) ReferenceSketches() map[string]*stats.KLL { return m.refSketches }
 
 // Observed returns the number of batches (or streamed windows) the
-// monitor has committed — the replica-side progress counter /federate
-// exposes so aggregators and tests can tell when traffic has drained.
+// monitor has fully observed — the replica-side progress counter
+// /federate exposes so aggregators and tests can tell when traffic has
+// drained. A batch counts only once its signals have fed the drift
+// timeline, so a watermark never claims a batch its windows lack;
+// batch observers therefore never see their own batch counted.
 func (m *Monitor) Observed() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.seq
+	return m.observed
+}
+
+func (m *Monitor) markObserved() {
+	m.mu.Lock()
+	m.observed++
+	m.mu.Unlock()
 }
 
 // DashboardRefresh returns the configured dashboard auto-refresh

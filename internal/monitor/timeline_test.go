@@ -245,6 +245,48 @@ func TestOnObserveOrdering(t *testing.T) {
 	}
 }
 
+// TestObservedLagsUntilTimelineFed pins the Observed watermark that
+// /federate ships: a batch counts only after its signals fed the drift
+// timeline, so neither a batch observer nor the window-close hook its
+// batch triggers sees that batch counted yet.
+func TestObservedLagsUntilTimelineFed(t *testing.T) {
+	f := getFixture(t)
+	m, err := New(Config{Predictor: f.pred, WindowSize: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proba := f.model.PredictProba(f.serving)
+	var seen, closes []int
+	m.OnObserve(func(_ *data.Dataset, _ *linalg.Matrix, rec Record) {
+		if got := m.Observed(); got != rec.Seq {
+			t.Errorf("observer of batch %d sees Observed()=%d, want %d", rec.Seq, got, rec.Seq)
+		}
+		seen = append(seen, rec.Seq)
+	})
+	m.Timeline().OnWindowClose(func(obs.Window) { closes = append(closes, m.Observed()) })
+
+	for i := 0; i < 3; i++ {
+		m.ObserveProba(proba)
+		if got := m.Observed(); got != i+1 {
+			t.Fatalf("after batch %d returned Observed()=%d, want %d", i, got, i+1)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		m.ObserveRow(proba.Row(i))
+	}
+	if got := m.Observed(); got != 4 {
+		t.Fatalf("after a streamed window Observed()=%d, want 4", got)
+	}
+	if len(seen) != 4 {
+		t.Fatalf("observers ran %d times, want 4", len(seen))
+	}
+	for i, got := range closes {
+		if got != i {
+			t.Fatalf("window %d closed with Observed()=%d, want %d", i, got, i)
+		}
+	}
+}
+
 // TestTimelineWraparoundRacingScrape wraps the timeline ring several
 // times over while a scraper hammers /timeline and an OnWindowClose
 // hook (standing in for the alert engine) observes every close. Run

@@ -46,12 +46,25 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: percentile of empty slice")
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return PercentileSorted(SortedCopy(xs), p)
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
+// SortedCopy returns a sorted copy of xs, leaving xs untouched. It is
+// the one sort behind every percentile and KS statistic (sort.Float64s:
+// NaNs first), so a column sorted here once can be shared by all of
+// them with bit-identical results.
+func SortedCopy(xs []float64) []float64 {
+	sorted := append([]float64(nil), xs...)
+	Sort(sorted)
+	return sorted
+}
+
+// Sort sorts xs in place in SortedCopy order.
+func Sort(xs []float64) { sort.Float64s(xs) }
+
+// PercentileSorted is Percentile for a non-empty slice already in
+// SortedCopy order.
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -71,16 +84,19 @@ func percentileSorted(sorted []float64, p float64) float64 {
 // Percentiles returns the requested percentiles of xs, sorting xs only
 // once. It panics on empty input.
 func Percentiles(xs []float64, ps []float64) []float64 {
-	if len(xs) == 0 {
+	return AppendPercentilesSorted(make([]float64, 0, len(ps)), SortedCopy(xs), ps)
+}
+
+// AppendPercentilesSorted appends the requested percentiles of a slice
+// already in SortedCopy order to dst. It panics on empty input.
+func AppendPercentilesSorted(dst, sorted, ps []float64) []float64 {
+	if len(sorted) == 0 {
 		panic("stats: percentiles of empty slice")
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+	for _, p := range ps {
+		dst = append(dst, PercentileSorted(sorted, p))
 	}
-	return out
+	return dst
 }
 
 // PercentileGrid returns 0, step, 2*step, ..., 100. The paper's output

@@ -115,7 +115,7 @@ func (e *P2Quantile) Value() float64 {
 	if e.count < 5 {
 		sorted := append([]float64(nil), e.initial...)
 		sort.Float64s(sorted)
-		return percentileSorted(sorted, e.p*100)
+		return PercentileSorted(sorted, e.p*100)
 	}
 	return e.q[2]
 }

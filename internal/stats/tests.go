@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // TestResult holds the outcome of a two-sample hypothesis test.
 type TestResult struct {
@@ -20,15 +17,17 @@ func (t TestResult) Rejected(alpha float64) bool { return t.PValue < alpha }
 // p-value. Used on model softmax outputs by the performance validator and
 // the BBSE baseline, and on raw numeric columns by the REL baseline.
 func KolmogorovSmirnov(a, b []float64) TestResult {
-	n, m := len(a), len(b)
+	return KolmogorovSmirnovSorted(SortedCopy(a), SortedCopy(b))
+}
+
+// KolmogorovSmirnovSorted is KolmogorovSmirnov for samples already in
+// SortedCopy order. Callers that test one fixed reference against many
+// batches sort the reference once and pass it here.
+func KolmogorovSmirnovSorted(as, bs []float64) TestResult {
+	n, m := len(as), len(bs)
 	if n == 0 || m == 0 {
 		return TestResult{Statistic: 0, PValue: 1}
 	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-
 	d := 0.0
 	i, j := 0, 0
 	for i < n && j < m {
