@@ -89,11 +89,12 @@ audit: lint
 
 # Short coverage-guided fuzz budgets for the deterministic-merge
 # invariants — sketch merge (associativity/commutativity vs the union
-# stream) and the serialized round-trips — plus the attacker-facing
-# wire decoders: the /labels ingestion body, the W3C traceparent
-# header parser (every proxied request runs it), and the on-disk
-# segment decoder (which must keep the valid prefix of any torn or
-# corrupted segment file without panicking), and the /predict_proba
+# stream) and the serialized round-trips — the KS test's NaN/±Inf rule
+# (every call returns, equal to KS on the NaN-stripped samples), plus
+# the attacker-facing wire decoders: the /labels ingestion body, the
+# W3C traceparent header parser (every proxied request runs it), the
+# on-disk segment decoder (which must keep the valid prefix of any torn
+# or corrupted segment file without panicking), and the /predict_proba
 # codec, differentially against encoding/json: request decode and
 # response parse must agree on accept/reject and decode bit-equal
 # values, and the response encoder must write json.Encoder's bytes.
@@ -101,6 +102,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzKLLMerge -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzKLLRoundTrip -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzLatencyHistMerge -fuzztime 10s ./internal/stats
+	$(GO) test -run NONE -fuzz FuzzKolmogorovSmirnov -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzLabelsDecode -fuzztime 10s ./internal/labels
 	$(GO) test -run NONE -fuzz FuzzTraceparentParse -fuzztime 10s ./internal/obs
 	$(GO) test -run NONE -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/obs/tsdb

@@ -111,7 +111,7 @@ func (r *REL) Attribute(serving *data.Dataset) ([]ColumnAttribution, float64) {
 	for _, name := range r.reference.Frame.NamesOfKind(frame.Numeric) {
 		refRaw := r.reference.Frame.Column(name).Num
 		srvRaw := serving.Frame.Column(name).Num
-		res := stats.KolmogorovSmirnov(dropNaN(refRaw), dropNaN(srvRaw))
+		res := stats.KolmogorovSmirnov(refRaw, srvRaw)
 		out = append(out, ColumnAttribution{
 			Column:       name,
 			Kind:         "numeric",
@@ -149,16 +149,6 @@ func (r *REL) Attribute(serving *data.Dataset) ([]ColumnAttribution, float64) {
 		return a.Column < b.Column
 	})
 	return out, alpha
-}
-
-func dropNaN(xs []float64) []float64 {
-	out := make([]float64, 0, len(xs))
-	for _, v := range xs {
-		if !math.IsNaN(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func missingRateJump(ref, srv []float64) bool {

@@ -353,6 +353,21 @@ func (p *Predictor) EstimateFromView(batch *BatchView) float64 {
 	return p.EstimateFromFeatures(batch.PredictionStatistics(p.cfg.PercentileStep))
 }
 
+// EstimateFromFeatures runs the regression model of Algorithm 2 directly
+// on a percentile feature vector. The vector must use the predictor's
+// percentile step.
+func (p *Predictor) EstimateFromFeatures(feats []float64) float64 {
+	X := matrixFromRow(feats)
+	v := p.reg.Predict(X)[0]
+	if v < 0 {
+		return 0
+	}
+	if v > 1 {
+		return 1
+	}
+	return v
+}
+
 // EstimateWithUncertainty returns the score estimate together with an
 // ensemble-disagreement measure: the standard deviation of the individual
 // trees of the random forest regressor. Serving batches unlike anything

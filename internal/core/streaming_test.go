@@ -9,66 +9,20 @@ import (
 	"blackboxval/internal/linalg"
 )
 
-func TestStreamAccumulatorMatchesBatchFeatures(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	n := 8000
-	proba := linalg.NewMatrix(n, 2)
-	for i := 0; i < n; i++ {
-		p := rng.Float64()
-		proba.Set(i, 0, p)
-		proba.Set(i, 1, 1-p)
-	}
-	exact := PredictionStatistics(proba, 5)
-
-	acc := NewStreamAccumulator(2, 5)
-	for i := 0; i < n; i++ {
-		acc.Add(proba.Row(i))
-	}
-	approx := acc.Features()
-	if len(approx) != len(exact) {
-		t.Fatalf("feature count %d vs %d", len(approx), len(exact))
-	}
-	for i := range exact {
-		if math.Abs(approx[i]-exact[i]) > 0.02 {
-			t.Fatalf("feature %d: stream %v vs exact %v", i, approx[i], exact[i])
+// streamedEstimate feeds proba to the predictor the way a row stream does:
+// each row arrives in one reused slice, is copied into a window buffer, and
+// the full window is featurized and scored through EstimateFromFeatures.
+func streamedEstimate(pred *Predictor, proba *linalg.Matrix) float64 {
+	window := linalg.NewMatrix(proba.Rows, proba.Cols)
+	row := make([]float64, proba.Cols)
+	for i := 0; i < proba.Rows; i++ {
+		copy(row, proba.Row(i))
+		copy(window.Row(i), row)
+		for j := range row {
+			row[j] = -1
 		}
 	}
-	if acc.Count() != n {
-		t.Fatalf("count = %d", acc.Count())
-	}
-}
-
-func TestStreamAccumulatorReset(t *testing.T) {
-	acc := NewStreamAccumulator(2, 25)
-	acc.Add([]float64{0.7, 0.3})
-	acc.Reset()
-	if acc.Count() != 0 {
-		t.Fatal("reset did not clear the accumulator")
-	}
-	for _, v := range acc.Features() {
-		if v != 0 {
-			t.Fatal("reset accumulator should featurize to zeros")
-		}
-	}
-}
-
-func TestStreamAccumulatorValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for 1 class")
-		}
-	}()
-	NewStreamAccumulator(1, 5)
-}
-
-func TestStreamAccumulatorRowWidthPanic(t *testing.T) {
-	acc := NewStreamAccumulator(2, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for wrong row width")
-		}
-	}()
-	acc.Add([]float64{0.5, 0.3, 0.2})
+	return pred.EstimateFromFeatures(PredictionStatistics(window, pred.cfg.PercentileStep))
 }
 
 func TestPredictorStreamingEstimateMatchesBatch(t *testing.T) {
@@ -85,14 +39,9 @@ func TestPredictorStreamingEstimateMatchesBatch(t *testing.T) {
 	}
 	proba := model.PredictProba(serving)
 	batchEst := pred.EstimateFromProba(proba)
-
-	acc := pred.NewStreamAccumulator()
-	for i := 0; i < proba.Rows; i++ {
-		acc.Add(proba.Row(i))
-	}
-	streamEst := pred.EstimateFromFeatures(acc.Features())
-	if math.Abs(streamEst-batchEst) > 0.03 {
-		t.Fatalf("stream estimate %v far from batch estimate %v", streamEst, batchEst)
+	streamEst := streamedEstimate(pred, proba)
+	if math.Float64bits(streamEst) != math.Float64bits(batchEst) {
+		t.Fatalf("stream estimate %v differs from batch estimate %v", streamEst, batchEst)
 	}
 }
 
@@ -113,12 +62,11 @@ func TestPredictorStreamingDetectsCorruption(t *testing.T) {
 	proba := model.PredictProba(broken)
 	truth := AccuracyScore(proba, broken.Labels)
 
-	acc := pred.NewStreamAccumulator()
-	for i := 0; i < proba.Rows; i++ {
-		acc.Add(proba.Row(i))
-	}
-	streamEst := pred.EstimateFromFeatures(acc.Features())
+	streamEst := streamedEstimate(pred, proba)
 	if truth < pred.TestScore()-0.1 && streamEst > pred.TestScore()-0.05 {
 		t.Fatalf("streaming estimate %v missed a drop to %v", streamEst, truth)
+	}
+	if batchEst := pred.EstimateFromProba(proba); math.Float64bits(streamEst) != math.Float64bits(batchEst) {
+		t.Fatalf("stream estimate %v differs from batch estimate %v", streamEst, batchEst)
 	}
 }

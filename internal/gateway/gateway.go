@@ -371,7 +371,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		// path; the id and the trace context ride along into the monitor
 		// observation, and the request body too when raw capture is on.
 		enqueueStart := time.Now()
-		g.shadow.EnqueueWithTrace(body, resp.body, id, span.TraceContext())
+		g.shadow.Enqueue(body, resp.body, id, span.TraceContext())
 		g.slo.observeStage(StageShadowEnqueue, time.Since(enqueueStart).Seconds(), id)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"blackboxval/internal/errorgen"
 	"blackboxval/internal/models"
 	"blackboxval/internal/monitor"
+	"blackboxval/internal/obs"
 )
 
 // fixture trains one small black box + predictor + validator shared by
@@ -462,9 +463,9 @@ func TestShadowQueueDropsOldest(t *testing.T) {
 		done:    make(chan struct{}),
 		metrics: newMetrics(),
 	}
-	tap.Enqueue([]byte("a"), "id-a")
-	tap.Enqueue([]byte("b"), "id-b")
-	tap.Enqueue([]byte("c"), "id-c")
+	tap.Enqueue(nil, []byte("a"), "id-a", obs.TraceContext{})
+	tap.Enqueue(nil, []byte("b"), "id-b", obs.TraceContext{})
+	tap.Enqueue(nil, []byte("c"), "id-c", obs.TraceContext{})
 	if tap.Depth() != 2 {
 		t.Fatalf("depth = %d, want 2", tap.Depth())
 	}

@@ -75,25 +75,14 @@ type shadowItem struct {
 	trace     obs.TraceContext
 }
 
-// Enqueue hands one raw response body and its request id to the tap. It
-// never blocks: when the queue is full the oldest pending batch is
-// evicted.
-func (t *shadowTap) Enqueue(body []byte, requestID string) {
-	t.EnqueueWithRequest(nil, body, requestID)
-}
-
-// EnqueueWithRequest is Enqueue carrying the request body as well, for
-// raw-row capture. The request body is dropped at the door when no
-// decoder is configured.
-func (t *shadowTap) EnqueueWithRequest(reqBody, body []byte, requestID string) {
-	t.EnqueueWithTrace(reqBody, body, requestID, obs.TraceContext{})
-}
-
-// EnqueueWithTrace is EnqueueWithRequest carrying the serving request's
-// trace context (the gateway_request span's coordinates): the queued
-// observation becomes a child span of the request even though it runs
-// on the shadow worker after the response was already sent.
-func (t *shadowTap) EnqueueWithTrace(reqBody, body []byte, requestID string, tc obs.TraceContext) {
+// Enqueue hands one raw backend response to the tap, with the request
+// body that produced it (for raw-row capture; dropped at the door when no
+// decoder is configured), the serving request's id and its trace context
+// (the gateway_request span's coordinates): the queued observation
+// becomes a child span of the request even though it runs on the shadow
+// worker after the response was already sent. It never blocks: when the
+// queue is full the oldest pending batch is evicted.
+func (t *shadowTap) Enqueue(reqBody, body []byte, requestID string, tc obs.TraceContext) {
 	if t.rawDecoder == nil {
 		reqBody = nil
 	}

@@ -294,10 +294,10 @@ func (s *Store) coverageLocked() float64 {
 //
 //	mon.OnObserve(store.ObserveBatch)
 //
-// Batches without a request id or model outputs (row-streamed windows,
-// file-watch batches) cannot be joined and are counted only toward
-// coverage's denominator when they carry rows. Any label post already
-// buffered for the request id joins immediately.
+// Batches without a request id (row-streamed windows, file-watch
+// batches) cannot be joined and are counted only toward coverage's
+// denominator. Any label post already buffered for the request id
+// joins immediately.
 func (s *Store) ObserveBatch(_ *data.Dataset, proba *linalg.Matrix, rec monitor.Record) {
 	if proba == nil || proba.Rows == 0 {
 		return

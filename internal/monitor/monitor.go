@@ -38,7 +38,8 @@ type Config struct {
 	// HistoryLimit bounds the retained per-batch records (default 1024).
 	HistoryLimit int
 	// WindowSize is the number of single predictions per evaluation
-	// window for row-level observation via ObserveRow (default 500).
+	// window for row-level observation via ObserveRow (default 500): a
+	// full window is observed exactly like a batch of its rows.
 	// Batch-level Observe/ObserveProba ignore it.
 	WindowSize int
 	// TimelineWindow is how many observed batches aggregate into one
@@ -116,14 +117,14 @@ type Record struct {
 	Window int64
 	// KS holds the per-class two-sample Kolmogorov–Smirnov D statistic
 	// between this batch's output column and the held-out test outputs.
-	// Nil for row-streamed windows (no full output sample available).
+	// Nil when the predictor kept no test outputs or the batch's class
+	// count disagrees with them.
 	KS []float64 `json:",omitempty"`
 	// KSMax is the largest per-class KS statistic — the headline drift
 	// signal for the timeline.
 	KSMax float64 `json:",omitempty"`
 	// P50Shift is the per-class shift of the output median against the
-	// test outputs (serving p50 minus test p50). Nil for row-streamed
-	// windows.
+	// test outputs (serving p50 minus test p50). Nil whenever KS is.
 	P50Shift []float64 `json:",omitempty"`
 }
 
@@ -153,7 +154,7 @@ type Monitor struct {
 	run       int // current consecutive-violation run length
 	alarms    int
 	history   []Record
-	window    *core.StreamAccumulator // lazily created by ObserveRow
+	window    []float64 // ObserveRow's partial window, row-major; nil when empty
 	observers []BatchObserver
 
 	// Counter families wired by RegisterMetrics (nil until then).
@@ -173,6 +174,9 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	if cfg.Hysteresis < 1 {
 		return nil, fmt.Errorf("monitor: hysteresis must be >= 1")
+	}
+	if cfg.WindowSize < 1 {
+		return nil, fmt.Errorf("monitor: window size must be >= 1")
 	}
 	timeline, err := obs.NewTimeSeries(obs.TimeSeriesConfig{
 		Capacity:      cfg.TimelineCapacity,
@@ -204,12 +208,12 @@ func New(cfg Config) (*Monitor, error) {
 
 // BatchObserver receives every observed batch after its record is
 // committed: the raw serving rows (nil when the caller only had model
-// outputs, or for row-streamed windows), the model outputs (nil for
-// row-streamed windows) and the committed record. Observers run
-// synchronously on the observing goroutine, before the batch's signals
-// feed the drift timeline — so by the time a window close fires an
-// alert hook, observers (e.g. the incident flight recorder's
-// reservoir) have already seen the triggering batch.
+// outputs, as for row-streamed windows), the model outputs and the
+// committed record. Observers run synchronously on the observing
+// goroutine, before the batch's signals feed the drift timeline — so
+// by the time a window close fires an alert hook, observers (e.g. the
+// incident flight recorder's reservoir) have already seen the
+// triggering batch.
 type BatchObserver func(batch *data.Dataset, proba *linalg.Matrix, rec Record)
 
 // OnObserve registers fn as a batch observer. Register before traffic
@@ -233,35 +237,25 @@ func (m *Monitor) notifyObservers(batch *data.Dataset, proba *linalg.Matrix, rec
 // ObserveProba when the model outputs are already available (e.g. logged
 // by the serving system).
 func (m *Monitor) Observe(batch *data.Dataset) Record {
-	return m.ObserveBatchProbaID(batch, m.cfg.Predictor.Model().PredictProba(batch), "")
+	return m.ObserveBatchProbaCtx(context.Background(), batch, m.cfg.Predictor.Model().PredictProba(batch), "")
 }
 
 // ObserveProba records the outcome for a batch of model outputs.
 func (m *Monitor) ObserveProba(proba *linalg.Matrix) Record {
-	return m.ObserveBatchProbaID(nil, proba, "")
+	return m.ObserveBatchProbaCtx(context.Background(), nil, proba, "")
 }
 
-// ObserveProbaID is ObserveProba with an end-to-end correlation id: the
+// ObserveBatchProbaCtx is the one observation path every entry point
+// runs: model outputs plus, when the caller has them, the raw serving
+// rows that produced them (handed to batch observers for incident
+// forensics; batch may be nil) and the end-to-end correlation id (the
 // gateway passes the request's X-Request-ID so a serving request can be
-// traced from proxy log to shadow-validation verdict.
-func (m *Monitor) ObserveProbaID(proba *linalg.Matrix, requestID string) Record {
-	return m.ObserveBatchProbaID(nil, proba, requestID)
-}
-
-// ObserveBatchProbaID is the full observation entry point: model
-// outputs plus, when the caller has them, the raw serving rows that
-// produced them (handed to batch observers for incident forensics) and
-// the end-to-end correlation id. batch may be nil.
-func (m *Monitor) ObserveBatchProbaID(batch *data.Dataset, proba *linalg.Matrix, requestID string) Record {
-	return m.ObserveBatchProbaCtx(context.Background(), batch, proba, requestID)
-}
-
-// ObserveBatchProbaCtx is ObserveBatchProbaID under a context that may
-// carry a W3C trace context (the gateway's shadow tap forwards the
-// serving request's): sampled traces get a monitor_observe span —
-// estimate, drift statistics and verdict attached — recorded into the
-// monitor's tracer, and the record carries the trace id so /history
-// rows link to their waterfalls.
+// traced from proxy log to shadow-validation verdict). ctx may carry a
+// W3C trace context (the gateway's shadow tap forwards the serving
+// request's): sampled traces get a monitor_observe span — estimate,
+// drift statistics and verdict attached — recorded into the monitor's
+// tracer, and the record carries the trace id so /history rows link to
+// their waterfalls.
 func (m *Monitor) ObserveBatchProbaCtx(ctx context.Context, batch *data.Dataset, proba *linalg.Matrix, requestID string) Record {
 	if tc, traced := obs.TraceFromContext(ctx); traced && tc.Sampled() {
 		_, span := obs.StartSpan(obs.WithTracer(obs.ContextWithTrace(ctx, tc), m.cfg.Tracer), "monitor_observe")
@@ -403,40 +397,29 @@ func boolSeries(b bool) float64 {
 }
 
 // ObserveRow consumes a single model output (one prediction's probability
-// vector) for deployments that cannot batch. Rows accumulate in a P²
-// streaming window of Config.WindowSize predictions; when the window
-// fills, the monitor evaluates it like a batch and returns the resulting
-// record with done=true. Streaming windows use only the estimate-based
-// alarm: the validator's hypothesis-test features need the full output
-// sample and are skipped.
+// vector) for deployments that cannot batch. Each row is copied into a
+// window of Config.WindowSize predictions; when the window fills, the
+// monitor observes it exactly like ObserveProba on the same rows and
+// returns the resulting record with done=true.
 func (m *Monitor) ObserveRow(probaRow []float64) (rec Record, done bool) {
+	classes := m.cfg.Predictor.TestOutputs().Cols
+	if len(probaRow) != classes {
+		panic(fmt.Sprintf("monitor: output row has %d classes, predictor expects %d", len(probaRow), classes))
+	}
+	full := m.cfg.WindowSize * classes
 	m.mu.Lock()
 	if m.window == nil {
-		m.window = m.cfg.Predictor.NewStreamAccumulator()
+		m.window = make([]float64, 0, full)
 	}
-	m.window.Add(probaRow)
-	if m.window.Count() < m.cfg.WindowSize {
+	m.window = append(m.window, probaRow...)
+	if len(m.window) < full {
 		m.mu.Unlock()
 		return Record{}, false
 	}
-	feats := m.window.Features()
-	size := m.window.Count()
-	m.window.Reset()
+	window := &linalg.Matrix{Rows: m.cfg.WindowSize, Cols: classes, Data: m.window}
+	m.window = nil
 	m.mu.Unlock()
-
-	estimate := m.cfg.Predictor.EstimateFromFeatures(feats)
-	rec = Record{
-		Size:              size,
-		Estimate:          estimate,
-		EstimateViolation: estimate < m.line,
-		Window:            m.timeline.OpenIndex(),
-	}
-	rec.Violating = rec.EstimateViolation
-	m.commitState(&rec)
-	m.notifyObservers(nil, nil, rec)
-	m.feedTimeline(&rec, nil)
-	m.markObserved()
-	return rec, true
+	return m.ObserveBatchProbaCtx(context.Background(), nil, window, ""), true
 }
 
 // Alarming reports whether the monitor is currently in the alarm state.

@@ -1,14 +1,18 @@
 package monitor
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"blackboxval/internal/core"
 	"blackboxval/internal/data"
 	"blackboxval/internal/datagen"
 	"blackboxval/internal/errorgen"
+	"blackboxval/internal/linalg"
 	"blackboxval/internal/models"
 )
 
@@ -69,6 +73,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Predictor: f.pred, Hysteresis: -1}); err == nil {
 		t.Fatal("negative hysteresis should error")
+	}
+	if _, err := New(Config{Predictor: f.pred, WindowSize: -1}); err == nil {
+		t.Fatal("negative window size should error")
 	}
 }
 
@@ -265,5 +272,131 @@ func TestConcurrentObserve(t *testing.T) {
 			t.Fatal("duplicate sequence number under concurrency")
 		}
 		seen[rec.Seq] = true
+	}
+}
+
+func TestObserveRowWidthPanic(t *testing.T) {
+	f := getFixture(t)
+	m, err := New(Config{Predictor: f.pred})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a row with the wrong class count should panic")
+		}
+	}()
+	m.ObserveRow([]float64{0.5, 0.3, 0.2})
+}
+
+// sameFloats reports whether a and b hold the same IEEE-754 bit patterns.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestObserveRowMatchesBatch pins the streaming part of the behaviour
+// fingerprint: a window of N rows fed through ObserveRow gets the same
+// record, bit for bit, as ObserveBatchProbaCtx on those N rows through a
+// twin monitor. The caller reuses one row slice for every call, so a
+// window that kept the caller's slice instead of copying it would fail.
+func TestObserveRowMatchesBatch(t *testing.T) {
+	f := getFixture(t)
+	rng := rand.New(rand.NewSource(21))
+	clean := f.model.PredictProba(f.serving)
+	broken := f.model.PredictProba(errorgen.Scaling{}.Corrupt(f.serving, 0.9, rng))
+	violating := 0
+	for _, size := range []int{2, 137, 500} {
+		cfg := Config{Predictor: f.pred, Validator: f.val, Threshold: 0.1, WindowSize: size}
+		rows, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make([]float64, clean.Cols)
+		next := 0
+		for _, src := range []*linalg.Matrix{clean, broken, clean, broken} {
+			window := linalg.NewMatrix(size, src.Cols)
+			for i := 0; i < size; i++ {
+				copy(row, src.Row(next%src.Rows))
+				copy(window.Row(i), row)
+				next += 7
+				got, done := rows.ObserveRow(row)
+				if done != (i == size-1) {
+					t.Fatalf("size %d: row %d of the window returned done=%t", size, i, done)
+				}
+				if !done {
+					continue
+				}
+				want := batches.ObserveBatchProbaCtx(context.Background(), nil, window, "")
+				if math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) ||
+					math.Float64bits(got.KSMax) != math.Float64bits(want.KSMax) ||
+					!sameFloats(got.KS, want.KS) || !sameFloats(got.P50Shift, want.P50Shift) ||
+					got.EstimateViolation != want.EstimateViolation ||
+					got.ValidatorViolation != want.ValidatorViolation ||
+					got.Violating != want.Violating || got.Alarming != want.Alarming ||
+					got.Size != want.Size || got.Seq != want.Seq || got.Window != want.Window {
+					t.Fatalf("size %d: row window %+v, batch %+v", size, got, want)
+				}
+				if got.Violating {
+					violating++
+				}
+			}
+		}
+	}
+	if violating == 0 {
+		t.Fatal("no window violated: the corrupted rows did not exercise the verdict")
+	}
+}
+
+// TestObserveNaNOutputsReturn pins that NaN model outputs cannot hang
+// the monitor: the drift statistics exclude NaNs, whether they arrive in
+// a batch or in a streamed row.
+func TestObserveNaNOutputsReturn(t *testing.T) {
+	f := getFixture(t)
+	m, err := New(Config{Predictor: f.pred, Validator: f.val, WindowSize: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proba := f.model.PredictProba(f.serving)
+	proba.Set(3, 0, math.NaN())
+	done := make(chan []Record, 1)
+	go func() {
+		recs := []Record{m.ObserveProba(proba)}
+		for i := 0; i < 50; i++ {
+			row := proba.Row(i)
+			if i == 10 {
+				row = []float64{math.NaN(), math.NaN()}
+			}
+			if rec, full := m.ObserveRow(row); full {
+				recs = append(recs, rec)
+			}
+		}
+		done <- recs
+	}()
+	select {
+	case recs := <-done:
+		if len(recs) != 2 {
+			t.Fatalf("got %d records, want a batch and a row window", len(recs))
+		}
+		for _, rec := range recs {
+			for c, d := range rec.KS {
+				if !(d >= 0 && d <= 1) {
+					t.Fatalf("record %d: KS[%d] = %v", rec.Seq, c, d)
+				}
+			}
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("observing NaN outputs did not return")
 	}
 }

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -84,14 +85,14 @@ func TestTimelineWindowAggregation(t *testing.T) {
 	}
 }
 
-func TestObserveProbaIDCarriesRequestID(t *testing.T) {
+func TestObserveCarriesRequestID(t *testing.T) {
 	f := getFixture(t)
 	m, err := New(Config{Predictor: f.pred})
 	if err != nil {
 		t.Fatal(err)
 	}
 	proba := f.model.PredictProba(f.serving)
-	rec := m.ObserveProbaID(proba, "gw-00000042")
+	rec := m.ObserveBatchProbaCtx(context.Background(), nil, proba, "gw-00000042")
 	if rec.RequestID != "gw-00000042" {
 		t.Fatalf("record request id = %q", rec.RequestID)
 	}
@@ -113,7 +114,7 @@ func TestObserveProbaIDCarriesRequestID(t *testing.T) {
 	}
 }
 
-func TestObserveRowFeedsTimelineWithoutDriftStats(t *testing.T) {
+func TestObserveRowFeedsTimelineWithDriftStats(t *testing.T) {
 	f := getFixture(t)
 	m, err := New(Config{Predictor: f.pred, WindowSize: 100})
 	if err != nil {
@@ -127,12 +128,15 @@ func TestObserveRowFeedsTimelineWithoutDriftStats(t *testing.T) {
 	if len(windows) != 1 {
 		t.Fatalf("timeline windows = %d, want 1", len(windows))
 	}
-	if _, ok := windows[0].Series["estimate"]; !ok {
-		t.Fatal("streamed window missing estimate")
+	// A full row window is observed like a batch of its rows, so it
+	// feeds the drift statistics and the output distributions too.
+	for _, series := range []string{"estimate", "ks_max", "ks_class_0", "p50_shift_class_1", "proba_class_0"} {
+		if _, ok := windows[0].Series[series]; !ok {
+			t.Fatalf("streamed window missing series %q", series)
+		}
 	}
-	// Row streaming keeps no output sample, so no KS series appear.
-	if _, ok := windows[0].Series["ks_max"]; ok {
-		t.Fatal("streamed window should not carry KS stats")
+	if got := windows[0].Series["proba_class_0"].Count; got != 100 {
+		t.Fatalf("proba_class_0 count = %d, want the window's 100 rows", got)
 	}
 }
 
@@ -238,8 +242,8 @@ func TestOnObserveOrdering(t *testing.T) {
 		}
 	})
 
-	m.ObserveBatchProbaID(f.serving, proba, "req-7")
-	m.ObserveBatchProbaID(f.serving, proba, "req-7")
+	m.ObserveBatchProbaCtx(context.Background(), f.serving, proba, "req-7")
+	m.ObserveBatchProbaCtx(context.Background(), f.serving, proba, "req-7")
 	if observed != 2 || closed != 2 {
 		t.Fatalf("observed=%d closed=%d, want 2/2", observed, closed)
 	}

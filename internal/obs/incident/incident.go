@@ -205,8 +205,9 @@ func (r *Recorder) RegisterMetrics(reg *obs.Registry) {
 // ObserveBatch feeds one observed serving batch: raw rows enter the
 // deterministic reservoir, the predicted-class histogram window
 // advances, and the batch competes for the worst-scoring list. batch
-// and proba may be nil (row-streamed windows carry neither); the
-// record still competes for the worst list when it has a request id.
+// may be nil (row-streamed windows and ObserveProba callers carry no
+// raw rows); the record still competes for the worst list when it has
+// a request id.
 // Its signature matches monitor.BatchObserver:
 //
 //	mon.OnObserve(rec.ObserveBatch)

@@ -139,9 +139,6 @@ func normalizeLatency(v float64) (float64, bool) {
 // Observe consumes one latency observation (seconds) with no exemplar.
 func (h *LatencyHist) Observe(v float64) { h.ObserveID(v, "") }
 
-// Add implements QuantileEstimator.
-func (h *LatencyHist) Add(v float64) { h.ObserveID(v, "") }
-
 // ObserveID consumes one latency observation tagged with a request ID.
 // An empty ID records the count without an exemplar.
 func (h *LatencyHist) ObserveID(v float64, requestID string) {

@@ -16,6 +16,9 @@ func (t TestResult) Rejected(alpha float64) bool { return t.PValue < alpha }
 // samples a and b and returns the D statistic together with the asymptotic
 // p-value. Used on model softmax outputs by the performance validator and
 // the BBSE baseline, and on raw numeric columns by the REL baseline.
+// NaNs are excluded from both samples (as KLL counts and excludes them):
+// the result is that of the NaN-free samples, and an all-NaN sample
+// counts as empty (D = 0, p = 1).
 func KolmogorovSmirnov(a, b []float64) TestResult {
 	return KolmogorovSmirnovSorted(SortedCopy(a), SortedCopy(b))
 }
@@ -24,6 +27,7 @@ func KolmogorovSmirnov(a, b []float64) TestResult {
 // SortedCopy order. Callers that test one fixed reference against many
 // batches sort the reference once and pass it here.
 func KolmogorovSmirnovSorted(as, bs []float64) TestResult {
+	as, bs = skipNaNs(as), skipNaNs(bs)
 	n, m := len(as), len(bs)
 	if n == 0 || m == 0 {
 		return TestResult{Statistic: 0, PValue: 1}
@@ -48,6 +52,14 @@ func KolmogorovSmirnovSorted(as, bs []float64) TestResult {
 	}
 	en := math.Sqrt(float64(n) * float64(m) / float64(n+m))
 	return TestResult{Statistic: d, PValue: ksPValue((en + 0.12 + 0.11/en) * d)}
+}
+
+// skipNaNs drops the NaNs that SortedCopy order puts first.
+func skipNaNs(sorted []float64) []float64 {
+	for len(sorted) > 0 && math.IsNaN(sorted[0]) {
+		sorted = sorted[1:]
+	}
+	return sorted
 }
 
 // ksPValue evaluates the Kolmogorov distribution tail

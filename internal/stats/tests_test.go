@@ -1,9 +1,11 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestKSIdenticalSamplesHighP(t *testing.T) {
@@ -58,6 +60,108 @@ func TestKSEmptySample(t *testing.T) {
 	if res.PValue != 1 {
 		t.Fatalf("empty sample should give p=1, got %v", res.PValue)
 	}
+}
+
+// ksWithin runs KolmogorovSmirnov on its own goroutine and fails the
+// test, instead of hanging it, when the call does not return.
+func ksWithin(t *testing.T, a, b []float64) TestResult {
+	t.Helper()
+	done := make(chan TestResult, 1)
+	go func() { done <- KolmogorovSmirnov(a, b) }()
+	timeout := time.NewTimer(5 * time.Second)
+	defer timeout.Stop()
+	select {
+	case res := <-done:
+		return res
+	case <-timeout.C:
+		t.Fatalf("KolmogorovSmirnov(%v, %v) did not return", a, b)
+		return TestResult{}
+	}
+}
+
+func withoutNaNs(xs []float64) []float64 {
+	var out []float64
+	for _, v := range xs {
+		if !math.IsNaN(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func sameResult(a, b TestResult) bool {
+	return math.Float64bits(a.Statistic) == math.Float64bits(b.Statistic) &&
+		math.Float64bits(a.PValue) == math.Float64bits(b.PValue)
+}
+
+// TestKSExcludesNaNs pins the NaN rule: NaNs in either sample are
+// excluded, so the result is bit-equal to the test on the NaN-free
+// samples, and an all-NaN sample counts as empty.
+func TestKSExcludesNaNs(t *testing.T) {
+	nan := math.NaN()
+	clean := ksWithin(t, []float64{0.1, 0.2}, []float64{0.15, 0.3})
+	for _, c := range []struct{ a, b []float64 }{
+		{[]float64{nan, 0.1, 0.2}, []float64{0.15, 0.3}},
+		{[]float64{0.1, 0.2}, []float64{0.15, nan, 0.3}},
+		{[]float64{0.2, nan, 0.1, nan}, []float64{nan, 0.3, 0.15}},
+	} {
+		if got := ksWithin(t, c.a, c.b); !sameResult(got, clean) {
+			t.Fatalf("KS(%v, %v) = %+v, want the NaN-free %+v", c.a, c.b, got, clean)
+		}
+	}
+	for _, c := range []struct{ a, b []float64 }{
+		{[]float64{nan, nan}, []float64{0.1, 0.2}},
+		{[]float64{0.1, 0.2}, []float64{nan}},
+	} {
+		if got := ksWithin(t, c.a, c.b); got.Statistic != 0 || got.PValue != 1 {
+			t.Fatalf("all-NaN sample: KS(%v, %v) = %+v, want D=0 p=1", c.a, c.b, got)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		a := propertySample(rng, rng.Intn(200), true)
+		b := propertySample(rng, rng.Intn(200), true)
+		want := ksWithin(t, withoutNaNs(a), withoutNaNs(b))
+		if got := ksWithin(t, a, b); !sameResult(got, want) {
+			t.Fatalf("trial %d: KS %+v, NaN-free %+v", trial, got, want)
+		}
+	}
+}
+
+// FuzzKolmogorovSmirnov feeds KS arbitrary float samples, NaN and ±Inf
+// included: every call must return, keep D and p in [0,1], give the
+// same D with its arguments swapped, and equal KS on the NaN-stripped
+// samples bit for bit.
+func FuzzKolmogorovSmirnov(f *testing.F) {
+	seed := make([]byte, 0, 80)
+	for _, v := range []float64{math.NaN(), 0.5, math.Inf(-1), 1, 0, math.Inf(1), math.NaN(), -0.5, 0.25, 2} {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	f.Add(seed, uint8(3))
+	f.Add(seed[:8], uint8(0))
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
+		var xs []float64
+		for i := 0; i+8 <= len(data) && len(xs) < 2048; i += 8 {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data[i:i+8])))
+		}
+		k := 0
+		if len(xs) > 0 {
+			k = int(split) % (len(xs) + 1)
+		}
+		a, b := xs[:k], xs[k:]
+		res := ksWithin(t, a, b)
+		if !(res.Statistic >= 0 && res.Statistic <= 1 && res.PValue >= 0 && res.PValue <= 1) {
+			t.Fatalf("KS = %+v out of [0,1]", res)
+		}
+		if swapped := ksWithin(t, b, a); math.Float64bits(swapped.Statistic) != math.Float64bits(res.Statistic) {
+			t.Fatalf("D not symmetric: %v vs %v", res.Statistic, swapped.Statistic)
+		}
+		if clean := ksWithin(t, withoutNaNs(a), withoutNaNs(b)); !sameResult(res, clean) {
+			t.Fatalf("KS %+v differs from the NaN-stripped %+v", res, clean)
+		}
+	})
 }
 
 func TestKSPValueInRange(t *testing.T) {

@@ -1,9 +1,6 @@
 package blackboxval
 
-import (
-	"blackboxval/internal/core"
-	"blackboxval/internal/monitor"
-)
+import "blackboxval/internal/monitor"
 
 // Serving-side monitoring: feed a Monitor the stream of serving batches
 // (or their logged model outputs) and it tracks score estimates, applies
@@ -23,11 +20,3 @@ type MonitorSummary = monitor.Summary
 
 // NewMonitor validates the configuration and returns a ready monitor.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return monitor.New(cfg) }
-
-// StreamAccumulator builds percentile features from a stream of single
-// model outputs with O(1) memory (P² online quantiles), for deployments
-// that cannot batch. Obtain one matched to a predictor via
-// Predictor.NewStreamAccumulator, feed it rows, and estimate with
-// Predictor.EstimateFromFeatures — or use Monitor.ObserveRow, which does
-// all of this with windowing.
-type StreamAccumulator = core.StreamAccumulator
