@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet build test race bench bench-gateway bench-serving bench-tsdb demo audit fuzz
+.PHONY: check lint vet build test race bench bench-gateway demo audit fuzz
 
 check: vet build test race
 
@@ -41,24 +41,6 @@ bench:
 # Proxy-hop overhead table for EXPERIMENTS.md ("Gateway overhead").
 bench-gateway:
 	$(GO) test -run NONE -bench 'BenchmarkGatewayOverhead' -benchtime 1000x ./internal/gateway/
-
-# Serving SLO observatory benchmark ("Serving SLO observatory" in
-# EXPERIMENTS.md): regenerates BENCH_serving.json (per-stage
-# p50/p99/p999, rows/sec, allocs/op via ppm-bench -exp serving) and
-# runs the allocs/op regression gate, which fails when a per-row
-# allocation creeps onto the gateway hot path (skipped under -short).
-bench-serving:
-	$(GO) run ./cmd/ppm-bench -exp serving
-	$(GO) test -run TestServingAllocGate -count=1 -v ./internal/gateway/
-
-# Durable timeline store benchmark ("Telemetry history" in
-# EXPERIMENTS.md): regenerates BENCH_tsdb.json (append windows/sec,
-# cold segment decode + re-aggregate throughput, range-query p50/p99,
-# the eager-vs-lazy compaction determinism check) via ppm-bench -exp
-# tsdb, then runs the compaction determinism suite itself.
-bench-tsdb:
-	$(GO) run ./cmd/ppm-bench -exp tsdb -log-level warn
-	$(GO) test -run 'TestCompaction|TestBacktest' -count=1 -v ./internal/obs/tsdb/
 
 # Eight-act smoke test: proxying + /metrics, shadow validation with
 # alerting, incident capture with drift attribution, fleet federation

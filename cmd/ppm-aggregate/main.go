@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"blackboxval/internal/cli"
+	"blackboxval/internal/gateway"
 	"blackboxval/internal/obs"
 )
 
@@ -120,7 +121,8 @@ func main() {
 		mux.Handle("/timeline/range", tsdbDB.RangeHandler())
 	}
 	obs.Mount(mux, obs.Default(), obs.DefaultTracer())
-	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Addr: *addr, Handler: mux,
+		ReadHeaderTimeout: gateway.ReadHeaderTimeout, IdleTimeout: gateway.IdleTimeout}
 	go func() {
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)

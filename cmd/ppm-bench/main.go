@@ -10,35 +10,15 @@
 //
 // Experiments: fig2a fig2b fig2c fig2d fig3 fig4 val-known fig5 fig6 fig7
 // fig2a-auc fig2c-auc gen-matrix ablation-step ablation-regressor
-// ablation-size ablation-ks stability pipeline timeline federate labels
-// serving tsdb all
+// ablation-size ablation-ks stability all
 //
-// The pipeline experiment times the end-to-end training pipeline with
-// internal/obs spans and writes the machine-readable breakdown to
-// -pipeline-out (default BENCH_pipeline.json). The timeline experiment
-// measures the drift-timeline store (windows/sec ingest, /timeline
-// render latency) and writes -timeline-out (default
-// BENCH_timeline.json). The federate experiment measures the fleet
-// aggregation layer (merged-vs-single sketch quantiles, /federate
-// decode+merge throughput, fleet p99 vs naive shard rollup) and writes
-// -federate-out (default BENCH_federate.json). The labels experiment
-// validates the label-feedback subsystem (credible-interval coverage on
-// a lagged ramp, active-vs-uniform label efficiency, conformal coverage,
-// join throughput) and writes -labels-out (default BENCH_labels.json).
-// The serving experiment drives a canned-backend gateway through the
-// serving SLO observatory (per-stage p50/p99/p999, rows/sec, allocs/op)
-// and writes -serving-out (default BENCH_serving.json).
-// The tsdb experiment measures the durable timeline store (append
-// windows/sec, cold segment decode + re-aggregate throughput, range
-// query p50/p99, the eager-vs-lazy compaction determinism check) and
-// writes -tsdb-out (default BENCH_tsdb.json).
-// -trace prints a span
+// Infrastructure performance (serving, telemetry, federation, label
+// feedback) is measured by perfbench, not here. -trace prints a span
 // report of every traced training run; -log-level and -log-format
 // control structured logging.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -60,18 +40,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "training goroutines (0 = all cores; results identical for any value)")
 	trace := flag.Bool("trace", false, "print the per-stage span report of every traced training run to stderr")
-	pipelineOut := flag.String("pipeline-out", "BENCH_pipeline.json",
-		"file for the machine-readable pipeline benchmark (empty disables; written by -exp pipeline)")
-	timelineOut := flag.String("timeline-out", "BENCH_timeline.json",
-		"file for the machine-readable timeline benchmark (empty disables; written by -exp timeline)")
-	federateOut := flag.String("federate-out", "BENCH_federate.json",
-		"file for the machine-readable federation benchmark (empty disables; written by -exp federate)")
-	labelsOut := flag.String("labels-out", "BENCH_labels.json",
-		"file for the machine-readable label-feedback benchmark (empty disables; written by -exp labels)")
-	servingOut := flag.String("serving-out", "BENCH_serving.json",
-		"file for the machine-readable serving hot-path benchmark (empty disables; written by -exp serving)")
-	tsdbOut := flag.String("tsdb-out", "BENCH_tsdb.json",
-		"file for the machine-readable durable-timeline benchmark (empty disables; written by -exp tsdb)")
 	var logCfg obs.LogConfig
 	logCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -98,7 +66,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := run(*exp, scale, *format, *pipelineOut, *timelineOut, *federateOut, *labelsOut, *servingOut, *tsdbOut); err != nil {
+	if err := run(*exp, scale, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
@@ -110,45 +78,26 @@ func main() {
 
 // runners maps experiment ids to result-producing functions.
 func runners(scale experiments.Scale) map[string]func() (any, error) {
-	wrap := func(f func() (any, error)) func() (any, error) { return f }
 	return map[string]func() (any, error){
-		"fig2a": wrap(func() (any, error) { return experiments.Figure2(scale, "lr") }),
-		"fig2b": wrap(func() (any, error) { return experiments.Figure2(scale, "dnn") }),
-		"fig2c": wrap(func() (any, error) { return experiments.Figure2(scale, "xgb") }),
-		"fig2d": wrap(func() (any, error) { return experiments.Figure2(scale, "conv") }),
-		"fig3":  wrap(func() (any, error) { return experiments.Figure3(scale) }),
-		"fig4":  wrap(func() (any, error) { return experiments.Figure4(scale) }),
-		"val-known": wrap(func() (any, error) {
-			return experiments.ValidationKnown(scale)
-		}),
-		"fig5": wrap(func() (any, error) { return experiments.Figure5(scale) }),
-		"fig6": wrap(func() (any, error) { return experiments.Figure6(scale) }),
-		"fig7": wrap(func() (any, error) { return experiments.Figure7(scale) }),
-		"fig2a-auc": wrap(func() (any, error) {
-			return experiments.Figure2AUC(scale, "lr")
-		}),
-		"fig2c-auc": wrap(func() (any, error) {
-			return experiments.Figure2AUC(scale, "xgb")
-		}),
-		"gen-matrix-lr": wrap(func() (any, error) {
-			return experiments.GeneralizationMatrix(scale, "lr")
-		}),
-		"gen-matrix-xgb": wrap(func() (any, error) {
-			return experiments.GeneralizationMatrix(scale, "xgb")
-		}),
-		"ablation-step":      wrap(func() (any, error) { return experiments.AblationPercentileStep(scale) }),
-		"ablation-regressor": wrap(func() (any, error) { return experiments.AblationRegressor(scale) }),
-		"ablation-size":      wrap(func() (any, error) { return experiments.AblationTrainingSize(scale) }),
-		"ablation-ks":        wrap(func() (any, error) { return experiments.AblationKSFeatures(scale) }),
-		"stability": wrap(func() (any, error) {
-			return experiments.Stability(scale, "lr", []int64{1, 2, 3})
-		}),
-		"pipeline": wrap(func() (any, error) { return experiments.PipelineBench(scale) }),
-		"timeline": wrap(func() (any, error) { return experiments.TimelineBench(scale) }),
-		"federate": wrap(func() (any, error) { return experiments.FederateBench(scale) }),
-		"labels":   wrap(func() (any, error) { return experiments.LabelsBench(scale) }),
-		"serving":  wrap(func() (any, error) { return experiments.ServingBench(scale) }),
-		"tsdb":     wrap(func() (any, error) { return experiments.TSDBBench(scale) }),
+		"fig2a":              func() (any, error) { return experiments.Figure2(scale, "lr") },
+		"fig2b":              func() (any, error) { return experiments.Figure2(scale, "dnn") },
+		"fig2c":              func() (any, error) { return experiments.Figure2(scale, "xgb") },
+		"fig2d":              func() (any, error) { return experiments.Figure2(scale, "conv") },
+		"fig3":               func() (any, error) { return experiments.Figure3(scale) },
+		"fig4":               func() (any, error) { return experiments.Figure4(scale) },
+		"val-known":          func() (any, error) { return experiments.ValidationKnown(scale) },
+		"fig5":               func() (any, error) { return experiments.Figure5(scale) },
+		"fig6":               func() (any, error) { return experiments.Figure6(scale) },
+		"fig7":               func() (any, error) { return experiments.Figure7(scale) },
+		"fig2a-auc":          func() (any, error) { return experiments.Figure2AUC(scale, "lr") },
+		"fig2c-auc":          func() (any, error) { return experiments.Figure2AUC(scale, "xgb") },
+		"gen-matrix-lr":      func() (any, error) { return experiments.GeneralizationMatrix(scale, "lr") },
+		"gen-matrix-xgb":     func() (any, error) { return experiments.GeneralizationMatrix(scale, "xgb") },
+		"ablation-step":      func() (any, error) { return experiments.AblationPercentileStep(scale) },
+		"ablation-regressor": func() (any, error) { return experiments.AblationRegressor(scale) },
+		"ablation-size":      func() (any, error) { return experiments.AblationTrainingSize(scale) },
+		"ablation-ks":        func() (any, error) { return experiments.AblationKSFeatures(scale) },
+		"stability":          func() (any, error) { return experiments.Stability(scale, "lr", []int64{1, 2, 3}) },
 	}
 }
 
@@ -158,8 +107,7 @@ var order = []string{
 	"val-known", "fig5", "fig6", "fig7",
 	"fig2a-auc", "fig2c-auc", "gen-matrix-lr", "gen-matrix-xgb",
 	"ablation-step", "ablation-regressor", "ablation-size", "ablation-ks",
-	"stability", "pipeline", "timeline", "federate", "labels", "serving",
-	"tsdb",
+	"stability",
 }
 
 // aliases map legacy/composite ids to runner ids.
@@ -167,7 +115,7 @@ var aliases = map[string][]string{
 	"gen-matrix": {"gen-matrix-lr", "gen-matrix-xgb"},
 }
 
-func run(exp string, scale experiments.Scale, format, pipelineOut, timelineOut, federateOut, labelsOut, servingOut, tsdbOut string) error {
+func run(exp string, scale experiments.Scale, format string) error {
 	byID := runners(scale)
 	ids := []string{exp}
 	if exp == "all" {
@@ -194,56 +142,11 @@ func run(exp string, scale experiments.Scale, format, pipelineOut, timelineOut, 
 		if vr, ok := result.(*experiments.ValidationResult); ok && format == "text" {
 			fmt.Printf("wins by method: %v\n", vr.WinsByMethod())
 		}
-		if pr, ok := result.(*experiments.PipelineResult); ok && pipelineOut != "" {
-			if err := writeJSON(pipelineOut, pr); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			fmt.Printf("pipeline benchmark written to %s\n", pipelineOut)
-		}
-		if tr, ok := result.(*experiments.TimelineResult); ok && timelineOut != "" {
-			if err := writeJSON(timelineOut, tr); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			fmt.Printf("timeline benchmark written to %s\n", timelineOut)
-		}
-		if fr, ok := result.(*experiments.FederateResult); ok && federateOut != "" {
-			if err := writeJSON(federateOut, fr); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			fmt.Printf("federation benchmark written to %s\n", federateOut)
-		}
-		if lr, ok := result.(*experiments.LabelsResult); ok && labelsOut != "" {
-			if err := writeJSON(labelsOut, lr); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			fmt.Printf("label-feedback benchmark written to %s\n", labelsOut)
-		}
-		if sr, ok := result.(*experiments.ServingResult); ok && servingOut != "" {
-			if err := writeJSON(servingOut, sr); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			fmt.Printf("serving benchmark written to %s\n", servingOut)
-		}
-		if dr, ok := result.(*experiments.TSDBResult); ok && tsdbOut != "" {
-			if err := writeJSON(tsdbOut, dr); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			fmt.Printf("tsdb benchmark written to %s\n", tsdbOut)
-		}
 		if exp == "all" {
 			fmt.Printf("--- %s done in %s ---\n\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	return nil
-}
-
-// writeJSON marshals v with indentation into path.
-func writeJSON(path string, v any) error {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 func emit(result any, format string) error {

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"blackboxval/internal/cli"
+	"blackboxval/internal/gateway"
 	"blackboxval/internal/obs"
 	"blackboxval/internal/obs/incident"
 )
@@ -163,7 +164,9 @@ func main() {
 				"timeline", fmt.Sprintf("http://%s/timeline", *addr),
 				"metrics", fmt.Sprintf("http://%s/metrics", *addr),
 				"pprof", fmt.Sprintf("http://%s/debug/pprof/", *addr))
-			if err := http.ListenAndServe(*addr, mux); err != nil {
+			srv := &http.Server{Addr: *addr, Handler: mux,
+				ReadHeaderTimeout: gateway.ReadHeaderTimeout, IdleTimeout: gateway.IdleTimeout}
+			if err := srv.ListenAndServe(); err != nil {
 				logger.Error("dashboard server failed", "err", err)
 				os.Exit(1)
 			}

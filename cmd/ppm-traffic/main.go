@@ -43,9 +43,9 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"blackboxval/internal/cli"
+	"blackboxval/internal/gateway"
 	"blackboxval/internal/obs"
 )
 
@@ -128,6 +128,7 @@ func runSink(args []string) error {
 	obs.RegisterRuntimeMetrics(obs.Default())
 	sink := &cli.AlertSink{}
 	fmt.Printf("alert sink listening on http://%s (POST /, GET /count, GET /events)\n", *addr)
-	srv := &http.Server{Addr: *addr, Handler: sink.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Addr: *addr, Handler: sink.Handler(),
+		ReadHeaderTimeout: gateway.ReadHeaderTimeout, IdleTimeout: gateway.IdleTimeout}
 	return srv.ListenAndServe()
 }

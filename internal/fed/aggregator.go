@@ -37,6 +37,11 @@ import (
 	"blackboxval/internal/stats"
 )
 
+// MaxDocBytes bounds one scraped /federate document. Real documents are
+// a few hundred KB; a larger body fails the fetch like a timeout does,
+// so a misbehaving replica cannot exhaust the aggregator's memory.
+const MaxDocBytes = 64 << 20
+
 // ReplicaConfig names one replica and its /federate URL.
 type ReplicaConfig struct {
 	Name string `json:"name"`
@@ -216,8 +221,12 @@ func (a *Aggregator) fetch(ctx context.Context, url string) (*Doc, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
 		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
+	body := &io.LimitedReader{R: resp.Body, N: MaxDocBytes + 1}
 	var doc Doc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := json.NewDecoder(body).Decode(&doc); err != nil {
+		if body.N == 0 {
+			return nil, fmt.Errorf("federate document exceeds %d bytes", MaxDocBytes)
+		}
 		return nil, err
 	}
 	if doc.Version != DocVersion {

@@ -7,6 +7,7 @@ package fed_test
 // determinism_test.go; the multi-gateway flow in e2e_test.go.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -395,6 +397,70 @@ func TestAggregatorStaleShardDegrades(t *testing.T) {
 	status := agg.Status()
 	if status.StaleShards != 1 || !status.Replicas[1].Stale || status.Replicas[0].Stale {
 		t.Fatalf("status = %+v", status)
+	}
+}
+
+// TestAggregatorRejectsOversizedDoc pins the /federate body cap: a
+// replica whose document grows past fed.MaxDocBytes fails its scrape,
+// and its shard degrades exactly like an unanswered one.
+func TestAggregatorRejectsOversizedDoc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams a 64 MiB body")
+	}
+	liveTS, _ := obs.NewTimeSeries(obs.TimeSeriesConfig{WindowBatches: 1})
+	bigTS, _ := obs.NewTimeSeries(obs.TimeSeriesConfig{WindowBatches: 1})
+	record := func(ts *obs.TimeSeries, v float64) {
+		ts.Record("lat", v)
+		ts.Commit()
+	}
+	record(liveTS, 1)
+	record(bigTS, 2)
+	live := &fakeReplica{}
+	live.set(tsDoc(liveTS, "live"))
+	liveSrv := httptest.NewServer(live.handler())
+	defer liveSrv.Close()
+	// The second replica serves a valid document; once padded, leading
+	// whitespace pushes it past the cap without making it invalid JSON.
+	var padded atomic.Bool
+	bigSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if padded.Load() {
+			chunk := bytes.Repeat([]byte{' '}, 1<<16)
+			for n := 0; n <= fed.MaxDocBytes; n += len(chunk) {
+				if _, err := w.Write(chunk); err != nil {
+					return
+				}
+			}
+		}
+		json.NewEncoder(w).Encode(tsDoc(bigTS, "big"))
+	}))
+	defer bigSrv.Close()
+
+	agg := newAggregator(t, []string{liveSrv.URL, bigSrv.URL}, func(cfg *fed.Config) {
+		cfg.StaleAfter = 30 * time.Millisecond
+		cfg.Timeout = 30 * time.Second
+	})
+	if report := agg.ScrapeOnce(context.Background()); len(report.Errors) != 0 || report.Emitted != 1 {
+		t.Fatalf("healthy scrape: %+v", report)
+	}
+
+	padded.Store(true)
+	record(liveTS, 3)
+	live.set(tsDoc(liveTS, "live"))
+	time.Sleep(50 * time.Millisecond)
+
+	report := agg.ScrapeOnce(context.Background())
+	if len(report.Errors) != 1 || !strings.Contains(report.Errors["b"], "exceeds") {
+		t.Fatalf("oversized document not reported as a scrape error: %+v", report)
+	}
+	if report.Stale != 1 || agg.StaleShards() != 1 {
+		t.Fatalf("stale = %d/%d, want 1", report.Stale, agg.StaleShards())
+	}
+	ws := agg.Windows()
+	if len(ws) != 2 {
+		t.Fatalf("fleet emitted %d windows, want degraded second emission", len(ws))
+	}
+	if second := ws[1].Series["lat"]; second.Count != 1 || second.Last != 3 {
+		t.Fatalf("degraded window = %+v", second)
 	}
 }
 

@@ -1,9 +1,8 @@
 package gateway
 
-// TestServingAllocGate is the allocs/op regression gate behind `make
-// bench-serving`: it pushes the fixture batch through a live gateway
-// (canned-response backend, real monitor shadow tap — the same
-// protocol as the serving benchmark in internal/experiments) and fails
+// TestServingAllocGate is the allocs/op regression gate of the serving
+// hot path: it pushes the fixture batch through a live gateway
+// (canned-response backend, real monitor shadow tap) and fails
 // when the per-request allocation count blows past the budget. The
 // budget keeps ~4x headroom over the measured ~375 allocs/op for the
 // 899-row fixture batch (the /predict_proba codec decodes a response

@@ -10,6 +10,15 @@ import (
 	"time"
 )
 
+// Every daemon's HTTP server drops a client that has not finished its
+// request header within ReadHeaderTimeout, and closes a keep-alive
+// connection left idle for IdleTimeout, so stalled or abandoned
+// clients cannot pin connections forever.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // ListenAndServe runs an HTTP server with graceful shutdown: on SIGINT
 // or SIGTERM it stops accepting connections and drains in-flight
 // requests for up to drain before exiting. It returns nil after a clean
@@ -29,7 +38,8 @@ func listenAndServeCtx(ctx context.Context, addr string, handler http.Handler, d
 	if drain <= 0 {
 		drain = 5 * time.Second
 	}
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := &http.Server{Addr: addr, Handler: handler,
+		ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	select {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"blackboxval/internal/linalg"
+	"blackboxval/internal/monitor"
 	"blackboxval/internal/obs"
 )
 
@@ -154,6 +156,89 @@ func TestLaggedRampDetectsCorruption(t *testing.T) {
 	if corruptGap < 0.25 {
 		t.Errorf("corrupted gap %.3f, want a clear excursion an alert rule can fire on", corruptGap)
 	}
+}
+
+// TestConformalCoverageThroughCorruption drives the lagged ramp from a
+// clean regime into a corrupted one where h stays frozen at the clean
+// estimate while the true accuracy collapses. The credible intervals
+// must follow the labels in both regimes, and the online conformal
+// interval around h must keep near-nominal coverage across the switch.
+func TestConformalCoverageThroughCorruption(t *testing.T) {
+	const seed, rows, lag, cleanAcc, corruptAcc = 1, 100, 3, 0.9, 0.55
+	ts, err := obs.NewTimeSeries(obs.TimeSeriesConfig{WindowBatches: 1, Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Timeline: ts, MaxLagWindows: 16, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed + 41))
+	if cov, n := laggedRamp(t, s, ts, rng, 60, rows, lag, cleanAcc, cleanAcc, "clean"); n < 50 || cov < 0.9 {
+		t.Fatalf("clean 95%% interval coverage %.3f over %d windows, need >= 0.9 over >= 50", cov, n)
+	}
+	if cov, n := laggedRamp(t, s, ts, rng, 20, rows, lag, corruptAcc, cleanAcc, "corrupt"); cov < 0.9 {
+		t.Fatalf("corrupted-stream interval coverage %.3f over %d windows, need >= 0.9 (intervals must track labels, not h)", cov, n)
+	}
+	c := s.Snapshot().Conformal
+	if c.Evaluated < 30 {
+		t.Fatalf("conformal intervals evaluated %d times, want >= 30", c.Evaluated)
+	}
+	if c.Coverage < 0.8 {
+		t.Fatalf("conformal online coverage %.3f over %d intervals, need >= 0.8", c.Coverage, c.Evaluated)
+	}
+}
+
+// laggedRamp serves windows batches of rows at trueAcc while h reports
+// hEstimate, joins each batch's labels lag batches later, and assesses
+// every window's 95% interval the moment its labels land. It returns
+// the fraction of intervals covering trueAcc and how many were assessed.
+func laggedRamp(t *testing.T, s *Store, ts *obs.TimeSeries, rng *rand.Rand,
+	windows, rows, lag int, trueAcc, hEstimate float64, idPrefix string) (coverage float64, assessed int) {
+	t.Helper()
+	type sent struct {
+		id     string
+		labels []int
+		window int64
+	}
+	var backlog []sent
+	covered := 0
+	post := func(b sent) {
+		s.Ingest([]Record{{RequestID: b.id, Labels: b.labels}})
+		p, ok := s.WindowPosterior(b.window)
+		if !ok {
+			t.Fatalf("window %d lost its posterior before assessment", b.window)
+		}
+		assessed++
+		if p.Lo <= trueAcc && trueAcc <= p.Hi {
+			covered++
+		}
+	}
+	for w := 0; w < windows; w++ {
+		proba := linalg.NewMatrix(rows, 4)
+		labelVals := make([]int, rows)
+		for i := range labelVals {
+			c := rng.Intn(4)
+			proba.Set(i, c, 1)
+			if rng.Float64() < trueAcc {
+				labelVals[i] = c
+			} else {
+				labelVals[i] = (c + 1) % 4
+			}
+		}
+		id := fmt.Sprintf("%s-%05d", idPrefix, w)
+		rec := monitor.Record{RequestID: id, Estimate: hEstimate, Window: ts.OpenIndex()}
+		s.ObserveBatch(nil, proba, rec)
+		ts.Commit()
+		backlog = append(backlog, sent{id: id, labels: labelVals, window: rec.Window})
+		if w >= lag {
+			post(backlog[w-lag])
+		}
+	}
+	for _, b := range backlog[windows-lag:] {
+		post(b)
+	}
+	return float64(covered) / float64(assessed), assessed
 }
 
 // lastSeries returns the named series' Last value in the most recent

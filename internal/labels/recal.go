@@ -8,7 +8,7 @@ package labels
 // a prediction interval with finite-sample conservative ranks; its
 // empirical coverage is tracked online (each interval is scored
 // against the batch's labeled accuracy *before* that batch's residual
-// joins the ring) and validated in internal/experiments.
+// joins the ring) and pinned by the lagged-ramp tests in e2e_test.go.
 
 import (
 	"math"

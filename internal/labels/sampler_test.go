@@ -1,8 +1,14 @@
 package labels
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"blackboxval/internal/linalg"
+	"blackboxval/internal/monitor"
+	"blackboxval/internal/obs"
 )
 
 // buildSampled sets up a store with two strata of very different
@@ -99,4 +105,108 @@ func TestWorklistExcludesLabeledRows(t *testing.T) {
 	if items := s.Worklist(10, PolicyThompson); len(items) != 0 {
 		t.Fatalf("worklist after full labeling: %v", items)
 	}
+}
+
+// TestThompsonNeedsFewerLabelsThanUniform is the label-efficiency claim
+// of active assessment: on a stream with one rare, uncertain stratum,
+// Thompson sampling narrows that stratum's 95% interval to the target
+// width with strictly fewer labels than uniform sampling at the same
+// per-round budget.
+func TestThompsonNeedsFewerLabelsThanUniform(t *testing.T) {
+	const seed, rows, budget, width = 1, 100, 10, 0.30
+	active := labelsToTargetWidth(t, seed, PolicyThompson, rows, budget, width)
+	uniform := labelsToTargetWidth(t, seed, PolicyUniform, rows, budget, width)
+	t.Logf("labels to width %.2f: thompson %d, uniform %d", width, active, uniform)
+	if active >= uniform {
+		t.Fatalf("Thompson sampling spent %d labels to reach width %.2f, uniform spent %d: active must need fewer",
+			active, width, uniform)
+	}
+}
+
+// TestThompsonLabelSpendDeterministic pins that the active-vs-uniform
+// comparison is reproducible: same seed, same label count.
+func TestThompsonLabelSpendDeterministic(t *testing.T) {
+	a := labelsToTargetWidth(t, 7, PolicyThompson, 100, 10, 0.30)
+	b := labelsToTargetWidth(t, 7, PolicyThompson, 100, 10, 0.30)
+	if a != b {
+		t.Fatalf("Thompson label spend not deterministic under a fixed seed: %d vs %d", a, b)
+	}
+}
+
+// labelsToTargetWidth serves one fixed stream where predicted class 0
+// is rare (~10% of rows) and genuinely uncertain (50% accurate) while
+// classes 1-3 are common and 97% accurate, then spends budget-sized
+// labeling rounds under the given policy until the class-0 stratum's
+// 95% credible interval narrows to the target width. Both policies see
+// the identical stream and ground truth (same seeds); only the
+// worklist selection differs. Returns the labels spent.
+func labelsToTargetWidth(t *testing.T, seed int64, policy string, rows, budget int, targetWidth float64) int {
+	t.Helper()
+	ts, err := obs.NewTimeSeries(obs.TimeSeriesConfig{WindowBatches: 1, Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := New(Config{Timeline: ts, MaxPending: 4096, MaxLagWindows: 1 << 20, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 40
+	rng := rand.New(rand.NewSource(seed + 977)) // shared stream seed: identical for both policies
+	truth := map[string][]int{}
+	for b := 0; b < batches; b++ {
+		proba := linalg.NewMatrix(rows, 4)
+		labelVals := make([]int, rows)
+		for i := 0; i < rows; i++ {
+			c := 1 + rng.Intn(3)
+			acc := 0.97
+			if rng.Float64() < 0.1 { // the rare, uncertain stratum
+				c = 0
+				acc = 0.5
+			}
+			proba.Set(i, c, 1)
+			if rng.Float64() < acc {
+				labelVals[i] = c
+			} else {
+				labelVals[i] = (c + 1) % 4
+			}
+		}
+		id := fmt.Sprintf("as-%04d", b)
+		truth[id] = labelVals
+		store.ObserveBatch(nil, proba, monitor.Record{RequestID: id, Estimate: 0.9, Window: ts.OpenIndex()})
+		ts.Commit()
+	}
+
+	spent := 0
+	for round := 0; round < 10_000; round++ {
+		if w, ok := stratumWidth(store, 0); ok && w <= targetWidth {
+			return spent
+		}
+		items := store.Worklist(budget, policy)
+		if len(items) == 0 {
+			t.Fatalf("%s policy exhausted %d candidates before reaching width %.2f",
+				policy, batches*rows, targetWidth)
+		}
+		recs := make([]Record, 0, len(items))
+		for _, it := range items {
+			recs = append(recs, Record{
+				RequestID: it.RequestID,
+				Rows:      []int{it.Row},
+				Labels:    []int{truth[it.RequestID][it.Row]},
+			})
+		}
+		spent += int(store.Ingest(recs).JoinedRows)
+	}
+	t.Fatalf("%s policy never reached width %.2f", policy, targetWidth)
+	return 0
+}
+
+// stratumWidth returns the 95% credible-interval width of the clean
+// (non-alarming) stratum for the given predicted class.
+func stratumWidth(store *Store, class int) (float64, bool) {
+	for _, st := range store.Snapshot().Strata {
+		if st.Class == class && !st.Alarming {
+			return st.Hi - st.Lo, true
+		}
+	}
+	return 0, false
 }

@@ -36,14 +36,6 @@ func Markdown(result any) (string, error) {
 		return ablation(r), nil
 	case *experiments.StabilityResult:
 		return stability(r), nil
-	case *experiments.PipelineResult:
-		return pipeline(r), nil
-	case *experiments.TimelineResult:
-		return timeline(r), nil
-	case *experiments.ServingResult:
-		return serving(r), nil
-	case *experiments.TSDBResult:
-		return tsdbReport(r), nil
 	default:
 		return "", fmt.Errorf("report: no markdown renderer for %T", result)
 	}
@@ -191,65 +183,4 @@ func ablation(r *experiments.AblationResult) string {
 	}
 	return fmt.Sprintf("### Ablation — %s\n\n%s", r.Study,
 		table([]string{"variant", "MAE", "p90"}, rows))
-}
-
-func pipeline(r *experiments.PipelineResult) string {
-	var rows [][]string
-	for _, st := range r.Stages {
-		pct := 0.0
-		if r.TotalSeconds > 0 {
-			pct = 100 * st.Seconds / r.TotalSeconds
-		}
-		rows = append(rows, []string{st.Path, f3(st.Seconds), fmt.Sprintf("%.1f%%", pct)})
-	}
-	return fmt.Sprintf("### Pipeline benchmark (scale=%s, dataset=%s, model=%s, workers=%d)\n\n%s\nTotal %.3fs, %d rows scored, %.0f rows/sec.\n",
-		r.Scale, r.Dataset, r.Model, r.Workers,
-		table([]string{"stage", "seconds", "share"}, rows),
-		r.TotalSeconds, r.RowsScored, r.RowsPerSec)
-}
-
-func serving(r *experiments.ServingResult) string {
-	var rows [][]string
-	for _, s := range r.Stages {
-		rows = append(rows, []string{
-			s.Stage, fmt.Sprintf("%d", s.Count),
-			f3(s.P50Ms), f3(s.P99Ms), f3(s.P999Ms), f3(s.MaxMs),
-		})
-	}
-	return fmt.Sprintf("### Serving SLO benchmark (scale=%s, %s/%s, %d batches x %d rows)\n\n%s\nThroughput %.0f req/sec (%.0f rows/sec); %d allocs/op, %d B/op client-visible, %.0f server alloc bytes/req; budget %.0fms target %.2f, %d over budget.\n",
-		r.Scale, r.Dataset, r.Model, r.Batches, r.RowsPerBatch,
-		table([]string{"stage", "count", "p50 ms", "p99 ms", "p999 ms", "max ms"}, rows),
-		r.RequestsPerSec, r.RowsPerSec, r.AllocsPerOp, r.BytesPerOp, r.ServerAllocBytesPerReq,
-		r.BudgetSeconds*1e3, r.Target, r.OverBudget)
-}
-
-func timeline(r *experiments.TimelineResult) string {
-	rows := [][]string{
-		{"ingest batches/sec", fmt.Sprintf("%.0f", r.BatchesPerSec)},
-		{"ingest windows/sec", fmt.Sprintf("%.0f", r.WindowsPerSec)},
-		{"render mean ms", f3(r.RenderMeanMs)},
-		{"render max ms", f3(r.RenderMaxMs)},
-		{"render bytes", fmt.Sprintf("%d", r.RenderBytes)},
-	}
-	return fmt.Sprintf("### Timeline benchmark (scale=%s, %d batches x %d series, window=%d, capacity=%d)\n\n%s",
-		r.Scale, r.Batches, r.SeriesPerBatch, r.WindowBatches, r.Capacity,
-		table([]string{"metric", "value"}, rows))
-}
-
-func tsdbReport(r *experiments.TSDBResult) string {
-	det := "yes"
-	if !r.CompactionDeterministic {
-		det = "NO (regression)"
-	}
-	rows := [][]string{
-		{"append windows/sec", fmt.Sprintf("%.0f", r.AppendWindowsPerSec)},
-		{"segments / bytes on disk", fmt.Sprintf("%d / %d", r.Segments, r.BytesOnDisk)},
-		{"cold decode+re-aggregate windows/sec", fmt.Sprintf("%.0f", r.DecodeWindowsPerSec)},
-		{"query p50 ms", f3(r.QueryP50Ms)},
-		{"query p99 ms", f3(r.QueryP99Ms)},
-		{"compaction deterministic (eager vs lazy)", det},
-	}
-	return fmt.Sprintf("### TSDB benchmark (scale=%s, %d windows x %d series, %d queries)\n\n%s",
-		r.Scale, r.Windows, r.SeriesPerWindow, r.Queries,
-		table([]string{"metric", "value"}, rows))
 }

@@ -138,31 +138,3 @@ func TestTableShape(t *testing.T) {
 		t.Fatalf("separator = %q", lines[1])
 	}
 }
-
-func TestServingMarkdown(t *testing.T) {
-	r := &experiments.ServingResult{
-		Scale: "quick", Dataset: "income", Model: "lr",
-		Batches: 256, RowsPerBatch: 100,
-		BudgetSeconds: 0.25, Target: 0.99,
-		RequestsPerSec: 1500, RowsPerSec: 150000,
-		AllocsPerOp: 700, BytesPerOp: 140000, ServerAllocBytesPerReq: 139000,
-		Stages: []experiments.ServingStageLatency{
-			{Stage: "request", Count: 256, P50Ms: 0.2, P99Ms: 1.1, P999Ms: 2.0, MaxMs: 5.0},
-			{Stage: "relay", Count: 256, P50Ms: 0.1, P99Ms: 0.9, P999Ms: 1.9, MaxMs: 4.9},
-		},
-	}
-	md, err := Markdown(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"Serving SLO benchmark (scale=quick, income/lr, 256 batches x 100 rows)",
-		"| request | 256 | 0.200 | 1.100 | 2.000 | 5.000 |",
-		"| stage | count | p50 ms | p99 ms | p999 ms | max ms |",
-		"700 allocs/op", "budget 250ms target 0.99",
-	} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}
