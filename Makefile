@@ -5,8 +5,9 @@
 # shadow tap, /metrics scrape and dashboard are hit concurrently in
 # production), and the telemetry registry/span tree plus the alert
 # engine, incident flight recorder and durable timeline store
-# (internal/obs/...), and the label-feedback store (internal/labels)
-# under the race detector in short mode.
+# (internal/obs/...), the label-feedback store (internal/labels) and
+# the monitoring-node composition (internal/cli TestNode*) under the
+# race detector in short mode.
 
 GO ?= go
 
@@ -33,6 +34,10 @@ test:
 
 race:
 	$(GO) test -short -race ./internal/core/... ./internal/models/... ./internal/gateway/... ./internal/monitor/... ./internal/obs/... ./internal/stats/... ./internal/fed/... ./internal/labels/...
+	# The node composition (internal/cli/node.go): its watch loop, server
+	# and closers run concurrently on shutdown. Only TestNode*: the whole
+	# cli package takes minutes under the race detector.
+	$(GO) test -short -race -run TestNode ./internal/cli/
 
 # Speedup table for EXPERIMENTS.md ("Parallel training" section).
 bench:
@@ -42,14 +47,15 @@ bench:
 bench-gateway:
 	$(GO) test -run NONE -bench 'BenchmarkGatewayOverhead' -benchtime 1000x ./internal/gateway/
 
-# Eight-act smoke test: proxying + /metrics, shadow validation with
+# Nine-act smoke test: proxying + /metrics, shadow validation with
 # alerting, incident capture with drift attribution, fleet federation
 # with stale-shard degradation, lagged label feedback, the serving
 # SLO observatory (open-loop ramp past the burn-rate threshold,
 # alert-triggered profile capture), distributed tracing (sampled
-# ramp stitched across per-process span journals), and the durable
+# ramp stitched across per-process span journals), the durable
 # timeline store (history surviving a restart, ppm-backtest
-# bit-reproducing the live alert events) — see scripts/demo.sh.
+# bit-reproducing the live alert events), and ppm-monitor draining on
+# SIGTERM (alert delivered, history replayable) — see scripts/demo.sh.
 demo:
 	bash scripts/demo.sh
 
@@ -76,10 +82,15 @@ audit: lint
 # the attacker-facing wire decoders: the /labels ingestion body, the
 # W3C traceparent header parser (every proxied request runs it), the
 # on-disk segment decoder (which must keep the valid prefix of any torn
-# or corrupted segment file without panicking), and the /predict_proba
+# or corrupted segment file without panicking), the /predict_proba
 # codec, differentially against encoding/json: request decode and
 # response parse must agree on accept/reject and decode bit-equal
-# values, and the response encoder must write json.Encoder's bytes.
+# values, and the response encoder must write json.Encoder's bytes —
+# and the remaining readers of untrusted bytes: incident bundles
+# (loaded bundles must render), span journals (only named spans come
+# back, and they stitch), /federate documents (a scrape-and-merge cycle
+# never panics and wrong versions are rejected) and the batch CSVs
+# ppm-monitor reads (type inference and the write/read round trip).
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzKLLMerge -fuzztime 10s ./internal/stats
 	$(GO) test -run NONE -fuzz FuzzKLLRoundTrip -fuzztime 10s ./internal/stats
@@ -91,3 +102,8 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/cloud
 	$(GO) test -run NONE -fuzz FuzzParseProbaResponse -fuzztime 10s -fuzzminimizetime 2s ./internal/cloud
 	$(GO) test -run NONE -fuzz FuzzEncodeProbaResponse -fuzztime 10s -fuzzminimizetime 2s ./internal/cloud
+	$(GO) test -run NONE -fuzz FuzzLoadBundle -fuzztime 10s -fuzzminimizetime 2s ./internal/obs/incident
+	$(GO) test -run NONE -fuzz FuzzReadJournalDir -fuzztime 10s -fuzzminimizetime 2s ./internal/obs
+	$(GO) test -run NONE -fuzz FuzzFederateDoc -fuzztime 10s -fuzzminimizetime 2s ./internal/fed
+	$(GO) test -run NONE -fuzz FuzzInferCSV -fuzztime 10s -fuzzminimizetime 2s ./internal/frame
+	$(GO) test -run NONE -fuzz FuzzCSVRoundTrip -fuzztime 10s -fuzzminimizetime 2s ./internal/frame

@@ -17,22 +17,23 @@
 // the ppm_federate_stale_shards gauge — visible on the dashboard and
 // at /metrics — rather than poisoning the fleet view.
 //
-// GET / serves the fleet dashboard; /timeline, /federate, /status,
-// /healthz, /metrics, /debug/pprof/* and /debug/spans sit beside it.
+// GET / serves the fleet dashboard (the replica dashboard page with the
+// shard table on); /timeline, /federate, /status, /healthz, /metrics,
+// /debug/pprof/* and /debug/spans sit beside it.
 // -tsdb-dir persists every merged fleet window to an on-disk segment
 // store (GET /timeline/range serves the durable history; see
-// ppm-backtest).
+// ppm-backtest). SIGINT or SIGTERM drains the server, then seals the
+// store and flushes queued alert webhooks.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"blackboxval/internal/cli"
@@ -41,23 +42,26 @@ import (
 )
 
 func main() {
-	replicas := flag.String("replicas", "", "comma-separated name=url replica list (required); bare URLs get shard-N names, /federate is appended when the URL has no path")
-	addr := flag.String("addr", "127.0.0.1:8090", "fleet dashboard listen address")
-	interval := flag.Duration("interval", 2*time.Second, "scrape interval")
-	timeout := flag.Duration("replica-timeout", time.Second, "per-replica scrape timeout")
-	staleAfter := flag.Duration("stale-after", 0, "replica staleness bound (0 = 5x interval)")
-	capacity := flag.Int("capacity", 128, "retained merged fleet windows")
-	refresh := flag.Duration("refresh", 2*time.Second, "dashboard auto-refresh interval (<=0 disables)")
-	alertRules := flag.String("alert-rules", "", "JSON alert rule file evaluated on merged fleet windows (empty = alerting off)")
-	alertWebhook := flag.String("alert-webhook", "", "webhook URL receiving fleet alert events as JSON POSTs")
-	incidentDir := flag.String("incident-dir", "", "directory retaining fleet incident files (empty = capture off)")
-	incidentMax := flag.Int("incident-max", 0, "retained fleet incident files (0 = default 16)")
-	traceDir := flag.String("trace-dir", "", "span journal directory for cross-process trace stitching (empty = in-memory ring only)")
-	traceSample := flag.Float64("trace-sample", 1, "deterministic head-sampling rate for federate_scrape traces (<=0 or >1 = sample everything)")
-	var tsdbFlags cli.TSDBFlags
-	tsdbFlags.RegisterFlags(flag.CommandLine)
+	fs := flag.CommandLine
+	var fedOpts cli.FederationOptions
+	replicas := fs.String("replicas", "", "comma-separated name=url replica list (required); bare URLs get shard-N names, /federate is appended when the URL has no path")
+	addr := fs.String("addr", "127.0.0.1:8090", "fleet dashboard listen address")
+	fs.DurationVar(&fedOpts.Interval, "interval", 2*time.Second, "scrape interval")
+	fs.DurationVar(&fedOpts.Timeout, "replica-timeout", time.Second, "per-replica scrape timeout")
+	fs.DurationVar(&fedOpts.StaleAfter, "stale-after", 0, "replica staleness bound (0 = 5x interval)")
+	fs.IntVar(&fedOpts.Capacity, "capacity", 128, "retained merged fleet windows")
+	refresh := fs.Duration("refresh", 2*time.Second, "dashboard auto-refresh interval (<=0 disables)")
+	fs.StringVar(&fedOpts.AlertRulesPath, "alert-rules", "", "JSON alert rule file evaluated on merged fleet windows (empty = alerting off)")
+	fs.StringVar(&fedOpts.AlertWebhookURL, "alert-webhook", "", "webhook URL receiving fleet alert events as JSON POSTs")
+	fs.StringVar(&fedOpts.IncidentDir, "incident-dir", "", "directory retaining fleet incident files (empty = capture off)")
+	fs.IntVar(&fedOpts.IncidentMax, "incident-max", 0, "retained fleet incident files (0 = default 16)")
+	fs.Float64Var(&fedOpts.TraceSampleRate, "trace-sample", 1, "deterministic head-sampling rate for federate_scrape traces (<=0 or >1 = sample everything)")
+	var tracing cli.TracingOptions
+	tracing.RegisterFlags(fs)
+	var tsdbOpts cli.TSDBOptions
+	tsdbOpts.RegisterFlags(fs)
 	var logCfg obs.LogConfig
-	logCfg.RegisterFlags(flag.CommandLine)
+	logCfg.RegisterFlags(fs)
 	flag.Parse()
 
 	logger, err := obs.SetupLogs("ppm-aggregate", logCfg)
@@ -65,54 +69,49 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	refreshMillis := int(refresh.Milliseconds())
-	if refreshMillis <= 0 {
-		refreshMillis = -1
+	fedOpts.Replicas = strings.Split(*replicas, ",")
+	fedOpts.RefreshMillis = int(refresh.Milliseconds())
+	if fedOpts.RefreshMillis <= 0 {
+		fedOpts.RefreshMillis = -1
 	}
-	agg, engine, closeAlerts, err := cli.WireFederation(cli.FederationOptions{
-		Replicas:        strings.Split(*replicas, ","),
-		Interval:        *interval,
-		Timeout:         *timeout,
-		StaleAfter:      *staleAfter,
-		Capacity:        *capacity,
-		RefreshMillis:   refreshMillis,
-		AlertRulesPath:  *alertRules,
-		AlertWebhookURL: *alertWebhook,
-		IncidentDir:     *incidentDir,
-		IncidentMax:     *incidentMax,
-		TraceSampleRate: *traceSample,
-		Logger:          logger,
-	})
-	if err != nil {
+	if err := run(*addr, fedOpts, tracing, tsdbOpts, logger); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
+	}
+}
+
+func run(addr string, fedOpts cli.FederationOptions, tracing cli.TracingOptions, tsdbOpts cli.TSDBOptions, logger *slog.Logger) error {
+	fedOpts.Logger = logger
+	agg, engine, closeAlerts, err := cli.WireFederation(fedOpts)
+	if err != nil {
+		return err
 	}
 	defer closeAlerts()
+	if engine != nil {
+		logger.Info("fleet alerting on", "rules", fedOpts.AlertRulesPath, "webhook", fedOpts.AlertWebhookURL)
+	}
 	obs.RegisterRuntimeMetrics(obs.Default())
-	closeTracing, err := cli.WireTracing(cli.TracingOptions{Dir: *traceDir, Logger: logger})
+	tracing.Logger = logger
+	closeTracing, err := cli.WireTracing(tracing)
 	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
+		return err
 	}
 	defer closeTracing()
-	if engine != nil {
-		logger.Info("fleet alerting on", "rules", *alertRules, "webhook", *alertWebhook)
-	}
 	// The merged fleet windows persist the same way a single monitor's
 	// do: the aggregator is a WindowSource, so the durable store sees
 	// each fleet window exactly once, at close.
-	tsdbDB, closeTSDB, err := cli.WireTSDB(agg, tsdbFlags.Options(obs.Default(), logger))
+	tsdbOpts.Logger = logger
+	tsdbDB, closeTSDB, err := cli.WireTSDB(agg, tsdbOpts)
 	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
+		return err
 	}
 	defer closeTSDB()
 	if tsdbDB != nil {
-		logger.Info("durable fleet timeline on", "dir", tsdbFlags.Dir, "retention", tsdbFlags.Retention)
+		logger.Info("durable fleet timeline on", "dir", tsdbOpts.Dir, "retention", tsdbOpts.Retention)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go agg.Run(ctx)
 
 	mux := http.NewServeMux()
@@ -121,21 +120,13 @@ func main() {
 		mux.Handle("/timeline/range", tsdbDB.RangeHandler())
 	}
 	obs.Mount(mux, obs.Default(), obs.DefaultTracer())
-	srv := &http.Server{Addr: *addr, Handler: mux,
-		ReadHeaderTimeout: gateway.ReadHeaderTimeout, IdleTimeout: gateway.IdleTimeout}
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx)
-	}()
 	logger.Info("fleet aggregator up",
-		"dashboard", fmt.Sprintf("http://%s/", *addr),
-		"timeline", fmt.Sprintf("http://%s/timeline", *addr),
-		"federate", fmt.Sprintf("http://%s/federate", *addr),
-		"metrics", fmt.Sprintf("http://%s/metrics", *addr))
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		logger.Error("fleet server failed", "err", err)
-		os.Exit(1)
+		"dashboard", fmt.Sprintf("http://%s/", addr),
+		"timeline", fmt.Sprintf("http://%s/timeline", addr),
+		"federate", fmt.Sprintf("http://%s/federate", addr),
+		"metrics", fmt.Sprintf("http://%s/metrics", addr))
+	if err := gateway.ListenAndServe(addr, mux, 3*time.Second); err != nil {
+		return fmt.Errorf("fleet server: %w", err)
 	}
+	return nil
 }

@@ -18,7 +18,9 @@
 // fires), GET /monitor/* (HTML drift dashboard plus /monitor/timeline
 // JSON, with -bundle), GET /debug/pprof/* and /debug/spans (profiling
 // and span traces). Without -bundle the gateway runs as a pure
-// resilience proxy. -alert-rules loads threshold-for-duration alert
+// resilience proxy and refuses every monitoring-stack flag (-alert-*,
+// -incident-*, -label-*, -profile-*, -tsdb-*, -hysteresis, -refresh,
+// -timeline-*). -alert-rules loads threshold-for-duration alert
 // rules evaluated on every drift-timeline window close and
 // -alert-webhook POSTs the firing/resolved events to an HTTP endpoint
 // (see ppm-traffic sink). The serving SLO observatory is always on:
@@ -59,50 +61,39 @@ import (
 	"blackboxval/internal/cloud"
 	"blackboxval/internal/data"
 	"blackboxval/internal/gateway"
-	"blackboxval/internal/labels"
 	"blackboxval/internal/monitor"
 	"blackboxval/internal/obs"
 	"blackboxval/internal/obs/alert"
-	"blackboxval/internal/obs/incident"
-	"blackboxval/internal/obs/tsdb"
 )
 
 func main() {
-	backend := flag.String("backend", "http://127.0.0.1:8080", "base URL of the model server")
-	bundle := flag.String("bundle", "", "bundle directory written by ppm-validate train (empty = proxy only, no shadow validation)")
-	addr := flag.String("addr", "127.0.0.1:8088", "gateway listen address")
-	hysteresis := flag.Int("hysteresis", 1, "consecutive violating batches before the alarm fires")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-attempt backend timeout")
-	retries := flag.Int("retries", 2, "retry attempts after the first try on transient backend failures")
-	queueSize := flag.Int("shadow-queue", 256, "bounded shadow-validation queue size (drop-oldest under pressure)")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive backend failures that open the circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 10*time.Second, "how long the breaker stays open before probing")
-	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown drain deadline")
-	refresh := flag.Duration("refresh", 5*time.Second, "monitor dashboard auto-refresh interval (<=0 disables)")
-	replica := flag.String("replica", "", "replica name advertised in /federate documents (empty = generated id prefix)")
-	timelineWindow := flag.Int("timeline-window", 1, "batches aggregated into one drift-timeline window")
-	timelineCapacity := flag.Int("timeline-capacity", 128, "retained drift-timeline windows")
-	alertRules := flag.String("alert-rules", "", "JSON alert rule file (empty = alerting off)")
-	alertWebhook := flag.String("alert-webhook", "", "webhook URL receiving alert events as JSON POSTs")
-	incidentDir := flag.String("incident-dir", "", "directory retaining incident bundles as JSON (empty = in-memory only)")
-	incidentRows := flag.Int("incident-rows", 0, "incident reservoir size in raw serving rows (0 = default 512)")
-	incidentMax := flag.Int("incident-max", 0, "retained incident bundles (0 = default 16)")
-	incidentSeed := flag.Int64("incident-seed", 0, "incident reservoir sampling seed (0 = default 1)")
-	labelLag := flag.Int64("label-lag", 0, "label join horizon in drift-timeline windows (0 = default 64)")
-	labelPending := flag.Int("label-pending", 0, "served batches retained awaiting labels (0 = default 512)")
-	labelSeed := flag.Int64("label-seed", 0, "active-sampling RNG seed (0 = default 1)")
-	sloBudget := flag.Duration("slo-budget", 0, "per-request latency budget (0 = default 250ms)")
-	sloTarget := flag.Float64("slo-target", 0, "SLO target fraction of in-budget requests (0 = default 0.99)")
-	sloWindow := flag.Int("slo-window", 0, "requests per SLO timeline window (0 = default 64)")
-	burnThreshold := flag.Float64("burn-threshold", 1.0, "burn-rate alert threshold; fires when BOTH the fast and slow windows burn above it (<=0 disables)")
-	profileCPU := flag.Duration("profile-cpu", 0, "CPU profile duration captured into alert-triggered incident bundles (0 = default 250ms)")
-	profileCooldown := flag.Duration("profile-cooldown", 0, "minimum gap between profile captures (0 = default 30s)")
-	traceDir := flag.String("trace-dir", "", "span journal directory for cross-process trace stitching (empty = in-memory ring only)")
-	traceSample := flag.Float64("trace-sample", 1, "deterministic head-sampling rate for traces this gateway mints (<=0 or >1 = sample everything); incoming traceparent flags win")
-	var tsdbFlags cli.TSDBFlags
-	tsdbFlags.RegisterFlags(flag.CommandLine)
+	fs := flag.CommandLine
+	var cfg gateway.Config
+	fs.StringVar(&cfg.Backend, "backend", "http://127.0.0.1:8080", "base URL of the model server")
+	fs.DurationVar(&cfg.RequestTimeout, "timeout", 10*time.Second, "per-attempt backend timeout")
+	fs.IntVar(&cfg.MaxRetries, "retries", 2, "retry attempts after the first try on transient backend failures")
+	fs.IntVar(&cfg.ShadowQueueSize, "shadow-queue", 256, "bounded shadow-validation queue size (drop-oldest under pressure)")
+	fs.IntVar(&cfg.Breaker.FailureThreshold, "breaker-failures", 5, "consecutive backend failures that open the circuit breaker")
+	fs.DurationVar(&cfg.Breaker.Cooldown, "breaker-cooldown", 10*time.Second, "how long the breaker stays open before probing")
+	fs.StringVar(&cfg.ReplicaName, "replica", "", "replica name advertised in /federate documents (empty = generated id prefix)")
+	fs.DurationVar(&cfg.SLO.Budget, "slo-budget", 0, "per-request latency budget (0 = default 250ms)")
+	fs.Float64Var(&cfg.SLO.Target, "slo-target", 0, "SLO target fraction of in-budget requests (0 = default 0.99)")
+	fs.IntVar(&cfg.SLO.WindowRequests, "slo-window", 0, "requests per SLO timeline window (0 = default 64)")
+	fs.Float64Var(&cfg.TraceSampleRate, "trace-sample", 1, "deterministic head-sampling rate for traces this gateway mints (<=0 or >1 = sample everything); incoming traceparent flags win")
+	bundle := fs.String("bundle", "", "bundle directory written by ppm-validate train (empty = proxy only, no shadow validation)")
+	addr := fs.String("addr", "127.0.0.1:8088", "gateway listen address")
+	drain := fs.Duration("drain", 5*time.Second, "graceful shutdown drain deadline")
+	burnThreshold := fs.Float64("burn-threshold", 1.0, "burn-rate alert threshold; fires when BOTH the fast and slow windows burn above it (<=0 disables)")
+	var monCfg monitor.Config
+	monCfg.RegisterFlags(fs)
+	var node cli.NodeOptions
+	node.RegisterFlags(fs)
+	var profCfg obs.ProfilerConfig
+	profCfg.RegisterFlags(fs)
+	var tracing cli.TracingOptions
+	tracing.RegisterFlags(fs)
 	var logCfg obs.LogConfig
-	logCfg.RegisterFlags(flag.CommandLine)
+	logCfg.RegisterFlags(fs)
 	flag.Parse()
 
 	logger, err := obs.SetupLogs("ppm-gateway", logCfg)
@@ -110,103 +101,35 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	dashRefresh := *refresh
-	if dashRefresh <= 0 {
-		dashRefresh = -1 // monitor treats negative as "auto-refresh off"
+	if *bundle == "" {
+		err = cli.RejectNodeFlags(fs)
 	}
-	opts := options{
-		backend: *backend, bundle: *bundle, addr: *addr, replica: *replica,
-		hysteresis: *hysteresis, timeout: *timeout, retries: *retries,
-		queueSize: *queueSize, breakerFailures: *breakerFailures,
-		breakerCooldown: *breakerCooldown, drain: *drain,
-		refresh: dashRefresh, timelineWindow: *timelineWindow,
-		timelineCapacity: *timelineCapacity,
-		alertRules:       *alertRules, alertWebhook: *alertWebhook,
-		incidentDir: *incidentDir, incidentRows: *incidentRows,
-		incidentMax: *incidentMax, incidentSeed: *incidentSeed,
-		labelLag: *labelLag, labelPending: *labelPending, labelSeed: *labelSeed,
-		sloBudget: *sloBudget, sloTarget: *sloTarget, sloWindow: *sloWindow,
-		burnThreshold: *burnThreshold,
-		profileCPU:    *profileCPU, profileCooldown: *profileCooldown,
-		traceDir: *traceDir, traceSample: *traceSample,
-		tsdb: tsdbFlags,
+	if err == nil {
+		err = run(cfg, *bundle, *addr, *drain, *burnThreshold, monCfg, node, profCfg, tracing, logger)
 	}
-	if err := run(opts, logger); err != nil {
+	if err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
 }
 
-// options carries the parsed flags into run.
-type options struct {
-	backend, bundle, addr            string
-	replica                          string
-	hysteresis, retries, queueSize   int
-	breakerFailures                  int
-	timeout, breakerCooldown, drain  time.Duration
-	refresh                          time.Duration
-	timelineWindow, timelineCapacity int
-	alertRules, alertWebhook         string
-	incidentDir                      string
-	incidentRows, incidentMax        int
-	incidentSeed                     int64
-	labelLag, labelSeed              int64
-	labelPending                     int
-	sloBudget                        time.Duration
-	sloTarget                        float64
-	sloWindow                        int
-	burnThreshold                    float64
-	profileCPU, profileCooldown      time.Duration
-	traceDir                         string
-	traceSample                      float64
-	tsdb                             cli.TSDBFlags
-}
-
-func run(opts options, logger *slog.Logger) error {
-	cfg := gateway.Config{
-		Backend:         opts.backend,
-		ReplicaName:     opts.replica,
-		RequestTimeout:  opts.timeout,
-		MaxRetries:      opts.retries,
-		ShadowQueueSize: opts.queueSize,
-		// Route the gateway's stdlib-style operational log lines through
-		// the structured handler.
-		Logger: obs.StdLogger(logger, slog.LevelInfo),
-		Breaker: gateway.BreakerConfig{
-			FailureThreshold: opts.breakerFailures,
-			Cooldown:         opts.breakerCooldown,
-		},
-		SLO: gateway.SLOConfig{
-			Budget:         opts.sloBudget,
-			Target:         opts.sloTarget,
-			WindowRequests: opts.sloWindow,
-		},
-		TraceSampleRate: opts.traceSample,
-	}
-
-	var manifest *cli.Manifest
-	if opts.bundle != "" {
+func run(cfg gateway.Config, bundle, addr string, drain time.Duration, burnThreshold float64,
+	monCfg monitor.Config, node cli.NodeOptions, profCfg obs.ProfilerConfig,
+	tracing cli.TracingOptions, logger *slog.Logger) error {
+	// Route the gateway's stdlib-style operational log lines through
+	// the structured handler.
+	cfg.Logger = obs.StdLogger(logger, slog.LevelInfo)
+	if bundle != "" {
 		// The black box stays remote: attach the backend client to the
 		// locally trained validation artifacts.
-		remote := cloud.NewClient(opts.backend)
-		m, pred, val, err := cli.LoadServingBundle(opts.bundle, remote)
+		manifest, pred, val, err := cli.LoadServingBundle(bundle, cloud.NewClient(cfg.Backend))
 		if err != nil {
 			return err
 		}
-		manifest = m
-		mon, err := monitor.New(monitor.Config{
-			Predictor:        pred,
-			Validator:        val,
-			Threshold:        manifest.Threshold,
-			Hysteresis:       opts.hysteresis,
-			TimelineWindow:   opts.timelineWindow,
-			TimelineCapacity: opts.timelineCapacity,
-			DashboardRefresh: opts.refresh,
-		})
-		if err != nil {
+		monCfg.Predictor, monCfg.Validator, monCfg.Threshold = pred, val, manifest.Threshold
+		if cfg.Monitor, err = monitor.New(monCfg); err != nil {
 			return err
 		}
-		cfg.Monitor = mon
 		// Recover the raw serving rows from each proxied request body so
 		// the incident recorder's reservoir samples real feature vectors,
 		// not just model outputs.
@@ -215,9 +138,7 @@ func run(opts options, logger *slog.Logger) error {
 			return cloud.DecodeRequest(body, classes)
 		}
 		logger.Info("shadow validation on", "dataset", manifest.Dataset, "model", manifest.Model,
-			"reference_accuracy", manifest.TestScore, "alarm_line", mon.AlarmLine())
-	} else if opts.alertRules != "" {
-		return fmt.Errorf("-alert-rules needs -bundle (no monitor, no drift timeline)")
+			"reference_accuracy", manifest.TestScore, "alarm_line", cfg.Monitor.AlarmLine())
 	} else {
 		logger.Info("no -bundle given: running as a pure resilience proxy")
 	}
@@ -227,100 +148,38 @@ func run(opts options, logger *slog.Logger) error {
 		return err
 	}
 	defer g.Close()
-	// Go runtime self-telemetry rides the same /metrics scrape as the
-	// proxy and monitor families.
-	obs.RegisterRuntimeMetrics(g.Metrics().Registry())
+	// Every family — proxy, runtime, tracing and the whole monitoring
+	// node — rides the gateway's own /metrics scrape.
+	reg := g.Metrics().Registry()
+	obs.RegisterRuntimeMetrics(reg)
 	// Gateway and shadow-monitor spans share the process default
 	// tracer, so one journal carries this process's trace fragments.
-	closeTracing, err := cli.WireTracing(cli.TracingOptions{
-		Dir:      opts.traceDir,
-		Registry: g.Metrics().Registry(),
-		Logger:   logger,
-	})
+	tracing.Registry, tracing.Logger = reg, logger
+	closeTracing, err := cli.WireTracing(tracing)
 	if err != nil {
 		return err
 	}
 	defer closeTracing()
 
-	var rec *incident.Recorder
-	var lstore *labels.Store
-	var tsdbDB *tsdb.DB
+	var handler http.Handler = g.Handler()
+	var notifier alert.Notifier
 	if cfg.Monitor != nil {
-		// Surface the monitor's own families (estimate, alarm line,
-		// batch/violation counters) on the gateway's /metrics endpoint.
-		cfg.Monitor.RegisterMetrics(g.Metrics().Registry())
-		// The label-feedback store rides the same shadow batch stream:
-		// delayed ground truth POSTed to /labels joins against what this
-		// gateway served, assessed as Beta-Bernoulli credible intervals on
-		// the drift timeline next to h's unlabeled estimate.
-		lstore, err = cli.WireLabels(cfg.Monitor, cli.LabelOptions{
-			MaxLagWindows: opts.labelLag,
-			MaxPending:    opts.labelPending,
-			Seed:          opts.labelSeed,
-			Registry:      g.Metrics().Registry(),
-			Logger:        logger,
-		})
-		if err != nil {
-			return err
-		}
-		// The incident flight recorder samples every shadow-observed
-		// batch; alert fire transitions (below) auto-capture bundles.
 		// Alert-triggered profiling: every captured bundle embeds a
 		// bounded CPU+heap pprof pair (the profiler's cooldown bounds the
 		// cost) plus the serving SLO snapshot with its slow-request
-		// exemplars.
-		profiler := obs.NewProfiler(obs.ProfilerConfig{
-			CPUDuration: opts.profileCPU,
-			Cooldown:    opts.profileCooldown,
-		})
-		rec, err = cli.WireIncidents(cfg.Monitor, cli.IncidentOptions{
-			BundleDir:     opts.bundle,
-			Dir:           opts.incidentDir,
-			MaxBundles:    opts.incidentMax,
-			ReservoirRows: opts.incidentRows,
-			Seed:          opts.incidentSeed,
-			Labels:        lstore,
-			Profiler:      profiler,
-			Serving:       g.IncidentServing,
-			Registry:      g.Metrics().Registry(),
-			Logger:        logger,
-		})
+		// exemplars. The deferred close runs after the drain in
+		// ListenAndServe returns, sealing the durable store on SIGTERM.
+		node.Incidents.BundleDir = bundle
+		node.Incidents.Profiler = obs.NewProfiler(profCfg)
+		node.Incidents.Serving = g.IncidentServing
+		node.Registry, node.Logger = reg, logger
+		n, closeNode, err := cli.WireNode(cfg.Monitor, node)
 		if err != nil {
 			return err
 		}
-		// Alert metrics land on the same registry so one /metrics scrape
-		// covers the proxy, the monitor and the alert engine.
-		_, closeAlerts, err := cli.WireAlerts(cfg.Monitor, cli.AlertOptions{
-			RulesPath:  opts.alertRules,
-			WebhookURL: opts.alertWebhook,
-			Notifier:   rec.AlertNotifier(),
-			Registry:   g.Metrics().Registry(),
-			Logger:     logger,
-		})
-		if err != nil {
-			return err
-		}
-		defer closeAlerts()
-		if opts.alertRules != "" {
-			logger.Info("alerting on", "rules", opts.alertRules, "webhook", opts.alertWebhook)
-		}
-		// Durable drift history: every closed timeline window is
-		// persisted to the segment store so history survives restarts
-		// and ppm-backtest can replay it offline. The deferred close
-		// runs after the drain in ListenAndServe returns, sealing the
-		// active segment on SIGTERM.
-		var closeTSDB func()
-		tsdbDB, closeTSDB, err = cli.WireTSDB(cfg.Monitor.Timeline(), opts.tsdb.Options(g.Metrics().Registry(), logger))
-		if err != nil {
-			return err
-		}
-		defer closeTSDB()
-		if tsdbDB != nil {
-			logger.Info("durable timeline on", "dir", opts.tsdb.Dir,
-				"range", fmt.Sprintf("http://%s/monitor/timeline/range", opts.addr))
-		}
-	} else if opts.tsdb.Dir != "" {
-		return fmt.Errorf("-tsdb-dir needs -bundle (no monitor, no drift timeline)")
+		defer closeNode()
+		notifier = n.Incidents.AlertNotifier()
+		handler = n.Routes(handler, "/monitor")
 	}
 
 	// Burn-rate alerting on the serving SLO timeline — on by default,
@@ -328,55 +187,26 @@ func run(opts options, logger *slog.Logger) error {
 	// gateway.BurnRateRules, evaluated on every SLO window close. With
 	// an incident recorder wired, a firing rule auto-captures a
 	// profiled bundle.
-	if opts.burnThreshold > 0 {
-		burnCfg := alert.Config{
-			Rules:  gateway.BurnRateRules(opts.burnThreshold),
-			Logger: logger,
-		}
-		if rec != nil {
-			burnCfg.Notifier = rec.AlertNotifier()
-		}
-		burn, err := alert.New(burnCfg)
+	if burnThreshold > 0 {
+		burn, err := alert.New(alert.Config{
+			Rules:    gateway.BurnRateRules(burnThreshold),
+			Notifier: notifier,
+			Logger:   logger,
+		})
 		if err != nil {
 			return err
 		}
-		burn.RegisterMetrics(g.Metrics().Registry())
+		burn.RegisterMetrics(reg)
 		g.SLOTimeline().OnWindowClose(burn.Evaluate)
-		logger.Info("serving SLO observatory on", "slo", fmt.Sprintf("http://%s/slo", opts.addr),
-			"burn_threshold", opts.burnThreshold)
+		logger.Info("serving SLO observatory on", "slo", fmt.Sprintf("http://%s/slo", addr),
+			"burn_threshold", burnThreshold)
 	}
 
-	// The gateway handler owns /metrics (its own registry) plus the
-	// proxy endpoints; mount the process-wide profiling and span-trace
-	// surface next to it.
-	mux := http.NewServeMux()
-	mux.Handle("/", g.Handler())
-	obs.MountPprof(mux)
-	mux.Handle("/debug/spans", obs.DefaultTracer().Handler())
-	if rec != nil {
-		mux.Handle(incident.MountPath, rec.Handler())
-		mux.Handle(incident.MountPath+"/", rec.Handler())
-		logger.Info("incident recorder on", "list", incident.MountPath,
-			"dir", opts.incidentDir)
-	}
-	if lstore != nil {
-		mux.Handle("/labels", lstore.Handler())
-		mux.Handle("/labels/", lstore.Handler())
-		logger.Info("label feedback on", "ingest", "POST /labels",
-			"worklist", "GET /labels/requests", "status", "GET /labels/status")
-	}
-	if tsdbDB != nil {
-		// Exact path beats both the "/" catch-all and the /monitor/
-		// subtree, so the durable range endpoint sits where the
-		// dashboard's relative "timeline/range" fetch resolves.
-		mux.Handle("/monitor/timeline/range", tsdbDB.RangeHandler())
-	}
-
-	logger.Info("proxying", "from", fmt.Sprintf("http://%s/predict_proba", opts.addr),
-		"to", opts.backend+"/predict_proba")
-	logger.Info("observability", "metrics", fmt.Sprintf("http://%s/metrics", opts.addr),
+	logger.Info("proxying", "from", fmt.Sprintf("http://%s/predict_proba", addr),
+		"to", cfg.Backend+"/predict_proba")
+	logger.Info("observability", "metrics", fmt.Sprintf("http://%s/metrics", addr),
 		"status", "/status", "healthz", "/healthz", "pprof", "/debug/pprof/")
-	if err := gateway.ListenAndServe(opts.addr, mux, opts.drain); err != nil {
+	if err := gateway.ListenAndServe(addr, handler, drain); err != nil {
 		return fmt.Errorf("gateway: %w", err)
 	}
 	return nil

@@ -28,47 +28,40 @@
 // serves range queries with server-side re-aggregation
 // (-tsdb-retention and friends bound the footprint; replay it with
 // ppm-backtest). -log-level and -log-format control structured
-// logging.
+// logging. SIGINT or SIGTERM stops the watch loop, drains the
+// dashboard server and then closes the monitoring stack: queued alert
+// webhooks are delivered and the durable store's active segment is
+// sealed before the process exits 0.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
+	"log/slog"
 	"os"
 	"time"
 
 	"blackboxval/internal/cli"
 	"blackboxval/internal/gateway"
 	"blackboxval/internal/obs"
-	"blackboxval/internal/obs/incident"
 )
 
 func main() {
-	bundle := flag.String("bundle", "bundle", "bundle directory written by ppm-validate train")
-	watch := flag.String("watch", ".", "directory polled for serving batch CSVs")
-	addr := flag.String("addr", "", "dashboard listen address (empty = no dashboard)")
-	interval := flag.Duration("interval", 2*time.Second, "poll interval")
-	hysteresis := flag.Int("hysteresis", 1, "consecutive violating batches before alarming")
-	labeled := flag.Bool("labels", false, "batch CSVs carry a trailing label column")
-	maxBatches := flag.Int("max-batches", 0, "stop after N batches (0 = run forever)")
-	refresh := flag.Duration("refresh", 5*time.Second, "dashboard auto-refresh interval (<=0 disables)")
-	timelineWindow := flag.Int("timeline-window", 1, "batches aggregated into one drift-timeline window")
-	timelineCapacity := flag.Int("timeline-capacity", 128, "retained drift-timeline windows")
-	alertRules := flag.String("alert-rules", "", "JSON alert rule file (empty = alerting off)")
-	alertWebhook := flag.String("alert-webhook", "", "webhook URL receiving alert events as JSON POSTs")
-	incidentDir := flag.String("incident-dir", "", "directory retaining incident bundles as JSON (empty = in-memory only)")
-	incidentRows := flag.Int("incident-rows", 0, "incident reservoir size in raw serving rows (0 = default 512)")
-	incidentMax := flag.Int("incident-max", 0, "retained incident bundles (0 = default 16)")
-	incidentSeed := flag.Int64("incident-seed", 0, "incident reservoir sampling seed (0 = default 1)")
-	labelLag := flag.Int64("label-lag", 0, "label join horizon in drift-timeline windows (0 = default 64)")
-	labelPending := flag.Int("label-pending", 0, "served batches retained awaiting labels (0 = default 512)")
-	labelSeed := flag.Int64("label-seed", 0, "active-sampling RNG seed (0 = default 1)")
-	traceDir := flag.String("trace-dir", "", "span journal directory for cross-process trace stitching (empty = in-memory ring only)")
-	var tsdbFlags cli.TSDBFlags
-	tsdbFlags.RegisterFlags(flag.CommandLine)
+	fs := flag.CommandLine
+	var watch cli.WatchOptions
+	fs.StringVar(&watch.BundleDir, "bundle", "bundle", "bundle directory written by ppm-validate train")
+	fs.StringVar(&watch.WatchDir, "watch", ".", "directory polled for serving batch CSVs")
+	fs.DurationVar(&watch.Interval, "interval", 2*time.Second, "poll interval")
+	fs.BoolVar(&watch.Labeled, "labels", false, "batch CSVs carry a trailing label column")
+	fs.IntVar(&watch.MaxBatches, "max-batches", 0, "stop after N batches (0 = run forever)")
+	watch.Monitor.RegisterFlags(fs)
+	addr := fs.String("addr", "", "dashboard listen address (empty = no dashboard)")
+	var node cli.NodeOptions
+	node.RegisterFlags(fs)
+	var tracing cli.TracingOptions
+	tracing.RegisterFlags(fs)
 	var logCfg obs.LogConfig
-	logCfg.RegisterFlags(flag.CommandLine)
+	logCfg.RegisterFlags(fs)
 	flag.Parse()
 
 	logger, err := obs.SetupLogs("ppm-monitor", logCfg)
@@ -76,104 +69,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := run(*addr, watch, node, tracing, logger); err != nil {
+		logger.Error("fatal", "err", err)
+		os.Exit(1)
+	}
+}
 
-	dashRefresh := *refresh
-	if dashRefresh <= 0 {
-		dashRefresh = -1 // monitor treats negative as "auto-refresh off"
-	}
-	mon, run, err := cli.PrepareWatch(cli.WatchOptions{
-		BundleDir: *bundle, WatchDir: *watch, Interval: *interval,
-		Hysteresis: *hysteresis, Labeled: *labeled, MaxBatches: *maxBatches,
-		TimelineWindow: *timelineWindow, TimelineCapacity: *timelineCapacity,
-		DashboardRefresh: dashRefresh,
-	})
-	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
-	}
-	mon.RegisterMetrics(obs.Default())
+func run(addr string, watch cli.WatchOptions, node cli.NodeOptions, tracing cli.TracingOptions, logger *slog.Logger) error {
 	obs.RegisterRuntimeMetrics(obs.Default())
-	closeTracing, err := cli.WireTracing(cli.TracingOptions{Dir: *traceDir, Logger: logger})
+	tracing.Logger = logger
+	closeTracing, err := cli.WireTracing(tracing)
 	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
+		return err
 	}
 	defer closeTracing()
-	lstore, err := cli.WireLabels(mon, cli.LabelOptions{
-		MaxLagWindows: *labelLag,
-		MaxPending:    *labelPending,
-		Seed:          *labelSeed,
-		Logger:        logger,
-	})
-	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
-	}
-	rec, err := cli.WireIncidents(mon, cli.IncidentOptions{
-		BundleDir:     *bundle,
-		Dir:           *incidentDir,
-		MaxBundles:    *incidentMax,
-		ReservoirRows: *incidentRows,
-		Seed:          *incidentSeed,
-		Labels:        lstore,
-		Logger:        logger,
-	})
-	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
-	}
-	_, closeAlerts, err := cli.WireAlerts(mon, cli.AlertOptions{
-		RulesPath: *alertRules, WebhookURL: *alertWebhook,
-		Notifier: rec.AlertNotifier(), Logger: logger,
-	})
-	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
-	}
-	defer closeAlerts()
-	if *alertRules != "" {
-		logger.Info("alerting on", "rules", *alertRules, "webhook", *alertWebhook)
-	}
-	tsdbDB, closeTSDB, err := cli.WireTSDB(mon.Timeline(), tsdbFlags.Options(obs.Default(), logger))
-	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
-	}
-	defer closeTSDB()
-	if tsdbDB != nil {
-		logger.Info("durable timeline on", "dir", tsdbFlags.Dir, "retention", tsdbFlags.Retention)
-	}
-	if *addr != "" {
-		go func() {
-			// The dashboard (HTML at /, JSON endpoints beside it) shares
-			// the mux with the process metrics, profiling and span traces.
-			mux := http.NewServeMux()
-			mux.Handle("/", mon.Handler())
-			mux.Handle(incident.MountPath, rec.Handler())
-			mux.Handle(incident.MountPath+"/", rec.Handler())
-			mux.Handle("/labels", lstore.Handler())
-			mux.Handle("/labels/", lstore.Handler())
-			if tsdbDB != nil {
-				// Durable history beside the live ring: the exact path wins
-				// over the monitor's "/" catch-all.
-				mux.Handle("/timeline/range", tsdbDB.RangeHandler())
-			}
-			obs.Mount(mux, obs.Default(), obs.DefaultTracer())
-			logger.Info("dashboard up",
-				"dashboard", fmt.Sprintf("http://%s/", *addr),
-				"timeline", fmt.Sprintf("http://%s/timeline", *addr),
-				"metrics", fmt.Sprintf("http://%s/metrics", *addr),
-				"pprof", fmt.Sprintf("http://%s/debug/pprof/", *addr))
-			srv := &http.Server{Addr: *addr, Handler: mux,
-				ReadHeaderTimeout: gateway.ReadHeaderTimeout, IdleTimeout: gateway.IdleTimeout}
-			if err := srv.ListenAndServe(); err != nil {
-				logger.Error("dashboard server failed", "err", err)
-				os.Exit(1)
-			}
-		}()
-	}
-	if err := run(); err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
-	}
+	ctx, stop := gateway.SignalContext()
+	defer stop()
+	node.Logger = logger
+	return cli.ServeWatch(ctx, addr, watch, node)
 }

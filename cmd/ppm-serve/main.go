@@ -38,7 +38,8 @@ func main() {
 	rows := flag.Int("rows", 4000, "dataset size")
 	seed := flag.Int64("seed", 1, "random seed")
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown drain deadline")
-	traceDir := flag.String("trace-dir", "", "span journal directory for cross-process trace stitching (empty = in-memory ring only)")
+	var tracing cli.TracingOptions
+	tracing.RegisterFlags(flag.CommandLine)
 	var logCfg obs.LogConfig
 	logCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -48,13 +49,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := run(*dataset, *model, *addr, *rows, *seed, *drain, *traceDir, logger); err != nil {
+	tracing.Logger = logger
+	if err := run(*dataset, *model, *addr, *rows, *seed, *drain, tracing, logger); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset, modelName, addr string, rows int, seed int64, drain time.Duration, traceDir string, logger *slog.Logger) error {
+func run(dataset, modelName, addr string, rows int, seed int64, drain time.Duration, tracing cli.TracingOptions, logger *slog.Logger) error {
 	scale := experiments.Quick
 	scale.TabularRows = rows
 	scale.ImageRows = rows
@@ -86,7 +88,7 @@ func run(dataset, modelName, addr string, rows int, seed int64, drain time.Durat
 		obs.TraceMiddleware(obs.DefaultTracer(), blackboxval.NewCloudServer(model).Handler())))
 	obs.RegisterRuntimeMetrics(obs.Default())
 	obs.Mount(mux, obs.Default(), obs.DefaultTracer())
-	closeTracing, err := cli.WireTracing(cli.TracingOptions{Dir: traceDir, Logger: logger})
+	closeTracing, err := cli.WireTracing(tracing)
 	if err != nil {
 		return err
 	}
@@ -96,6 +98,6 @@ func run(dataset, modelName, addr string, rows int, seed int64, drain time.Durat
 		"metrics", fmt.Sprintf("http://%s/metrics", addr),
 		"pprof", fmt.Sprintf("http://%s/debug/pprof/", addr))
 	// Graceful shutdown on SIGINT/SIGTERM: stop accepting, drain
-	// in-flight predictions, then exit (shared with ppm-gateway).
+	// in-flight predictions, then exit (shared by every daemon).
 	return gateway.ListenAndServe(addr, mux, drain)
 }

@@ -1,21 +1,21 @@
 package cli
 
-// Alert wiring shared by ppm-monitor and ppm-gateway: both binaries
-// accept -alert-rules/-alert-webhook and hand the parsed flags to
-// WireAlerts, which loads the rule file, builds the engine (plus the
-// webhook notifier when configured), registers the alert metric
-// families and hooks the engine onto the monitor's drift timeline.
+// Alert wiring shared by every node: WireAlertEngine loads the rule
+// file, builds the engine (plus the webhook notifier when configured),
+// registers the alert metric families and hooks the engine onto a
+// window source — a replica's drift timeline (WireNode) or the
+// aggregator's merged fleet timeline (WireFederation).
 
 import (
+	"flag"
 	"fmt"
 	"log/slog"
 
-	"blackboxval/internal/monitor"
 	"blackboxval/internal/obs"
 	"blackboxval/internal/obs/alert"
 )
 
-// AlertOptions configures WireAlerts.
+// AlertOptions configures WireAlertEngine.
 type AlertOptions struct {
 	// RulesPath is the JSON rule file (empty = alerting off).
 	RulesPath string
@@ -32,6 +32,12 @@ type AlertOptions struct {
 	Logger *slog.Logger
 }
 
+// RegisterFlags installs -alert-rules and -alert-webhook on fs.
+func (o *AlertOptions) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.RulesPath, "alert-rules", "", "JSON alert rule file (empty = alerting off)")
+	fs.StringVar(&o.WebhookURL, "alert-webhook", "", "webhook URL receiving alert events as JSON POSTs")
+}
+
 // WindowSource is anything that emits closed timeline windows in
 // order: a replica's obs.TimeSeries or the federation aggregator's
 // merged fleet timeline. The alert engine doesn't care which.
@@ -39,23 +45,10 @@ type WindowSource interface {
 	OnWindowClose(func(obs.Window))
 }
 
-// WireAlerts attaches an alert engine to the monitor's drift timeline.
-// With an empty RulesPath it is a no-op. The returned close function
-// drains the webhook's delivery queue (call it on shutdown); it is
-// never nil.
-func WireAlerts(mon *monitor.Monitor, opts AlertOptions) (*alert.Engine, func(), error) {
-	// The monitor's timeline is only needed once a rule file is given;
-	// a nil monitor is fine for the no-op and misconfiguration paths.
-	var src WindowSource
-	if mon != nil {
-		src = mon.Timeline()
-	}
-	return WireAlertEngine(src, opts)
-}
-
-// WireAlertEngine attaches an alert engine to any window source — the
-// shared body behind WireAlerts (replica timelines) and WireFederation
-// (the merged fleet timeline).
+// WireAlertEngine attaches an alert engine to a window source. With
+// an empty RulesPath it is a no-op (src may then be nil). The returned
+// close function drains the webhook's delivery queue (call it on
+// shutdown); it is never nil.
 func WireAlertEngine(src WindowSource, opts AlertOptions) (*alert.Engine, func(), error) {
 	if opts.RulesPath == "" {
 		if opts.WebhookURL != "" {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"blackboxval/internal/monitor"
 	"blackboxval/internal/obs"
 	"blackboxval/internal/obs/alert"
 )
@@ -22,7 +23,7 @@ func quietSlog() *slog.Logger {
 }
 
 func TestWireAlertsNoopWithoutRules(t *testing.T) {
-	engine, closer, err := WireAlerts(nil, AlertOptions{})
+	engine, closer, err := WireAlertEngine(nil, AlertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestWireAlertsNoopWithoutRules(t *testing.T) {
 }
 
 func TestWireAlertsWebhookNeedsRules(t *testing.T) {
-	_, _, err := WireAlerts(nil, AlertOptions{WebhookURL: "http://127.0.0.1:1"})
+	_, _, err := WireAlertEngine(nil, AlertOptions{WebhookURL: "http://127.0.0.1:1"})
 	if err == nil {
 		t.Fatal("webhook without rules should error")
 	}
@@ -47,7 +48,7 @@ func TestWireAlertsWebhookNeedsRules(t *testing.T) {
 
 func TestWireAlertsRejectsBadRuleFiles(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, err := WireAlerts(nil, AlertOptions{
+	if _, _, err := WireAlertEngine(nil, AlertOptions{
 		RulesPath: filepath.Join(dir, "missing.json"),
 	}); err == nil {
 		t.Fatal("missing rule file should error")
@@ -56,14 +57,14 @@ func TestWireAlertsRejectsBadRuleFiles(t *testing.T) {
 	if err := writeFile(bad, `[{"name": "r", "series": "estimate", "op": "~", "threshold": 1}]`); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := WireAlerts(nil, AlertOptions{RulesPath: bad, Logger: quietSlog()}); err == nil {
+	if _, _, err := WireAlertEngine(nil, AlertOptions{RulesPath: bad, Logger: quietSlog()}); err == nil {
 		t.Fatal("invalid rule op should error")
 	}
 }
 
 // TestWireAlertsFullWiring drives the whole CLI-facing chain once: the
 // watch options plumb the timeline/dashboard knobs into the monitor,
-// WireAlerts hooks the rule engine onto the timeline with a webhook
+// WireAlertEngine hooks the rule engine onto the timeline with a webhook
 // notifier, and a single catastrophically corrupted batch fires the
 // rule and delivers the event.
 func TestWireAlertsFullWiring(t *testing.T) {
@@ -82,9 +83,11 @@ func TestWireAlertsFullWiring(t *testing.T) {
 	mon, run, err := PrepareWatch(WatchOptions{
 		BundleDir: bundle, WatchDir: watchDir,
 		Interval: 10 * time.Millisecond, Labeled: true, MaxBatches: 1,
-		TimelineWindow: 1, TimelineCapacity: 16,
-		DashboardRefresh: 1234 * time.Millisecond,
-		Out:              &bytes.Buffer{},
+		Monitor: monitor.Config{
+			TimelineWindow: 1, TimelineCapacity: 16,
+			DashboardRefresh: 1234 * time.Millisecond,
+		},
+		Out: &bytes.Buffer{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +120,7 @@ func TestWireAlertsFullWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	engine, closeAlerts, err := WireAlerts(mon, AlertOptions{
+	engine, closeAlerts, err := WireAlertEngine(mon.Timeline(), AlertOptions{
 		RulesPath: rules, WebhookURL: sink.URL,
 		Registry: reg, Logger: quietSlog(),
 	})

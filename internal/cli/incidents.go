@@ -1,15 +1,14 @@
 package cli
 
-// Incident-recorder wiring shared by ppm-monitor and ppm-gateway: both
-// binaries accept -incident-dir/-incident-rows/... and hand the parsed
-// flags to WireIncidents, which loads the bundle's held-out reference
-// sample (the attribution baseline), builds the flight recorder, hooks
-// it onto the monitor's batch stream and registers its metric families.
-// Compose the returned recorder's AlertNotifier into WireAlerts via
-// AlertOptions.Notifier so alert fire transitions auto-capture bundles.
+// Incident-recorder wiring: WireIncidents loads the bundle's held-out
+// reference sample (the attribution baseline), builds the flight
+// recorder, hooks it onto the monitor's batch stream and registers its
+// metric families. WireNode composes the recorder's AlertNotifier into
+// the alert engine so alert fire transitions auto-capture bundles.
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"log/slog"
 	"os"
@@ -50,6 +49,15 @@ type IncidentOptions struct {
 	Registry *obs.Registry
 	// Logger receives capture logs (nil = slog.Default()).
 	Logger *slog.Logger
+}
+
+// RegisterFlags installs -incident-dir, -incident-rows, -incident-max
+// and -incident-seed on fs.
+func (o *IncidentOptions) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.Dir, "incident-dir", "", "directory retaining incident bundles as JSON (empty = in-memory only)")
+	fs.IntVar(&o.ReservoirRows, "incident-rows", 0, "incident reservoir size in raw serving rows (0 = default 512)")
+	fs.IntVar(&o.MaxBundles, "incident-max", 0, "retained incident bundles (0 = default 16)")
+	fs.Int64Var(&o.Seed, "incident-seed", 0, "incident reservoir sampling seed (0 = default 1)")
 }
 
 // WireIncidents attaches an incident flight recorder to the monitor:

@@ -1,15 +1,13 @@
 package cli
 
-// Label-feedback wiring shared by ppm-monitor and ppm-gateway: both
-// binaries accept -label-lag/-label-pending/-label-seed and hand the
-// parsed flags to WireLabels, which builds the store on the monitor's
+// Label-feedback wiring: WireLabels builds the store on the monitor's
 // drift timeline, hooks it onto the batch stream and registers its
-// metric families. Mount the store's Handler at /labels (the gateway
-// does this via gateway.Config.Labels) and pass the store to
-// WireIncidents via IncidentOptions.Labels so captured bundles carry
-// the assessment snapshot.
+// metric families. WireNode calls it first, passes the store on to
+// WireIncidents so captured bundles carry the assessment snapshot, and
+// Node.Routes mounts its Handler at /labels.
 
 import (
+	"flag"
 	"log/slog"
 
 	"blackboxval/internal/labels"
@@ -25,14 +23,19 @@ type LabelOptions struct {
 	// MaxPending bounds the served batches retained while waiting for
 	// labels (0 = default 512).
 	MaxPending int
-	// Level is the credible/prediction interval level (0 = default 0.95).
-	Level float64
 	// Seed drives the active-sampling policies' RNG (0 = default 1).
 	Seed int64
 	// Registry receives the ppm_labels_* families (nil = obs.Default()).
 	Registry *obs.Registry
 	// Logger receives join anomalies (nil = slog.Default()).
 	Logger *slog.Logger
+}
+
+// RegisterFlags installs -label-lag, -label-pending and -label-seed on fs.
+func (o *LabelOptions) RegisterFlags(fs *flag.FlagSet) {
+	fs.Int64Var(&o.MaxLagWindows, "label-lag", 0, "label join horizon in drift-timeline windows (0 = default 64)")
+	fs.IntVar(&o.MaxPending, "label-pending", 0, "served batches retained awaiting labels (0 = default 512)")
+	fs.Int64Var(&o.Seed, "label-seed", 0, "active-sampling RNG seed (0 = default 1)")
 }
 
 // WireLabels attaches the label-feedback store to the monitor: every
@@ -46,7 +49,6 @@ func WireLabels(mon *monitor.Monitor, opts LabelOptions) (*labels.Store, error) 
 		Timeline:      mon.Timeline(),
 		MaxLagWindows: opts.MaxLagWindows,
 		MaxPending:    opts.MaxPending,
-		Level:         opts.Level,
 		Seed:          opts.Seed,
 		Logger:        opts.Logger,
 	})

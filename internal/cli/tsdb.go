@@ -1,13 +1,13 @@
 package cli
 
 // Durable-timeline wiring shared by ppm-monitor, ppm-gateway and
-// ppm-aggregate: all three accept -tsdb-dir/-tsdb-retention (plus the
-// size/downsampling knobs) and hand the parsed flags to WireTSDB,
-// which opens the on-disk window store, registers the ppm_tsdb_*
-// metric families and hooks Append onto the window source — a
-// replica's drift timeline or the aggregator's merged fleet timeline;
-// closed windows flow into segments either way. The returned DB's
-// RangeHandler mounts at /timeline/range next to the live /timeline.
+// ppm-aggregate: all three register the -tsdb-* flag group and hand it
+// to WireTSDB, which opens the on-disk window store, registers the
+// ppm_tsdb_* metric families and hooks Append onto the window source —
+// a replica's drift timeline (through WireNode) or the aggregator's
+// merged fleet timeline; closed windows flow into segments either way.
+// The returned DB's RangeHandler mounts at /timeline/range next to the
+// live /timeline.
 
 import (
 	"flag"
@@ -17,44 +17,6 @@ import (
 	"blackboxval/internal/obs"
 	"blackboxval/internal/obs/tsdb"
 )
-
-// TSDBFlags carries the shared -tsdb-* flag values; the same five
-// flags mean the same thing on ppm-monitor, ppm-gateway and
-// ppm-aggregate (the obs.LogConfig idiom).
-type TSDBFlags struct {
-	Dir            string
-	Retention      time.Duration
-	RetentionBytes int64
-	SegmentBytes   int64
-	Downsample     int
-}
-
-// RegisterFlags installs the -tsdb-* flags on fs.
-func (f *TSDBFlags) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&f.Dir, "tsdb-dir", "",
-		"directory persisting closed timeline windows as an on-disk store (empty = durable history off)")
-	fs.DurationVar(&f.Retention, "tsdb-retention", 0,
-		"drop persisted segments older than this (0 = no age bound)")
-	fs.Int64Var(&f.RetentionBytes, "tsdb-retention-bytes", 0,
-		"on-disk footprint bound in bytes (0 = default 256MiB)")
-	fs.Int64Var(&f.SegmentBytes, "tsdb-segment-bytes", 0,
-		"segment file size bound in bytes (0 = default 4MiB)")
-	fs.IntVar(&f.Downsample, "tsdb-downsample", 0,
-		"compaction factor merging K old windows per bucket (0 = default 8; 1 keeps full resolution forever)")
-}
-
-// Options lifts the parsed flags into WireTSDB options.
-func (f *TSDBFlags) Options(reg *obs.Registry, logger *slog.Logger) TSDBOptions {
-	return TSDBOptions{
-		Dir:            f.Dir,
-		Retention:      f.Retention,
-		RetentionBytes: f.RetentionBytes,
-		SegmentBytes:   f.SegmentBytes,
-		Downsample:     f.Downsample,
-		Registry:       reg,
-		Logger:         logger,
-	}
-}
 
 // TSDBOptions configures WireTSDB.
 type TSDBOptions struct {
@@ -74,6 +36,20 @@ type TSDBOptions struct {
 	Registry *obs.Registry
 	// Logger receives store lifecycle events (nil = slog.Default()).
 	Logger *slog.Logger
+}
+
+// RegisterFlags installs the -tsdb-* flags on fs.
+func (o *TSDBOptions) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.Dir, "tsdb-dir", "",
+		"directory persisting closed timeline windows as an on-disk store (empty = durable history off)")
+	fs.DurationVar(&o.Retention, "tsdb-retention", 0,
+		"drop persisted segments older than this (0 = no age bound)")
+	fs.Int64Var(&o.RetentionBytes, "tsdb-retention-bytes", 0,
+		"on-disk footprint bound in bytes (0 = default 256MiB)")
+	fs.Int64Var(&o.SegmentBytes, "tsdb-segment-bytes", 0,
+		"segment file size bound in bytes (0 = default 4MiB)")
+	fs.IntVar(&o.Downsample, "tsdb-downsample", 0,
+		"compaction factor merging K old windows per bucket (0 = default 8; 1 keeps full resolution forever)")
 }
 
 // WireTSDB opens the durable window store and hooks it onto src so

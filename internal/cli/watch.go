@@ -22,23 +22,15 @@ type WatchOptions struct {
 	WatchDir string
 	// Interval is the polling period (default 2s).
 	Interval time.Duration
-	// Hysteresis is the consecutive-violation count before alarming
-	// (default 1).
-	Hysteresis int
 	// Labeled indicates the CSVs carry a trailing label column.
 	Labeled bool
 	// MaxBatches stops the watcher after processing this many batches
 	// (0 = run until Stop is closed). Tests and one-shot runs use this.
 	MaxBatches int
-	// TimelineWindow is how many batches aggregate into one drift-timeline
-	// window (0 = monitor default of 1).
-	TimelineWindow int
-	// TimelineCapacity bounds the retained timeline windows (0 = monitor
-	// default of 128).
-	TimelineCapacity int
-	// DashboardRefresh is the HTML dashboard's auto-refresh interval
-	// (0 = monitor default of 5s; <0 disables auto-refresh).
-	DashboardRefresh time.Duration
+	// Monitor carries the monitor settings (hysteresis, timeline
+	// geometry, dashboard refresh); the bundle supplies its predictor,
+	// validator and threshold.
+	Monitor monitor.Config
 	// Stop terminates the loop when closed.
 	Stop <-chan struct{}
 	// Out receives the per-batch log lines.
@@ -70,15 +62,9 @@ func PrepareWatch(opts WatchOptions) (*monitor.Monitor, func() error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	mon, err := monitor.New(monitor.Config{
-		Predictor:        pred,
-		Validator:        val,
-		Threshold:        manifest.Threshold,
-		Hysteresis:       opts.Hysteresis,
-		TimelineWindow:   opts.TimelineWindow,
-		TimelineCapacity: opts.TimelineCapacity,
-		DashboardRefresh: opts.DashboardRefresh,
-	})
+	cfg := opts.Monitor
+	cfg.Predictor, cfg.Validator, cfg.Threshold = pred, val, manifest.Threshold
+	mon, err := monitor.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -16,7 +16,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -32,7 +31,6 @@ import (
 
 	"blackboxval/internal/data"
 	"blackboxval/internal/fed"
-	"blackboxval/internal/labels"
 	"blackboxval/internal/monitor"
 	"blackboxval/internal/obs"
 )
@@ -46,11 +44,6 @@ type Config struct {
 	// gateway is a pure resilience proxy (no estimates, /healthz is
 	// liveness-only).
 	Monitor *monitor.Monitor
-	// Labels, when set, mounts the label-feedback endpoints (/labels,
-	// /labels/requests, /labels/status) so delayed ground truth posted by
-	// labeling systems joins the shadow traffic this gateway served. The
-	// store must be registered as a batch observer on the same Monitor.
-	Labels *labels.Store
 	// HTTPClient overrides the transport used to reach the backend.
 	HTTPClient *http.Client
 	// RequestTimeout bounds each backend attempt (default 10s).
@@ -228,9 +221,10 @@ func (g *Gateway) ShadowObserved() int64 {
 //	     /monitor/*      — the monitor's own dashboard (when configured)
 //	GET  /federate       — mergeable drift state for fleet aggregation
 //	                       (when a monitor is configured)
-//	     /labels*        — delayed ground-truth ingestion, the active
-//	                       sampling worklist, and assessment status
-//	                       (when a label store is configured)
+//
+// The monitoring stack beside the monitor (/labels*, /debug/incidents*,
+// /monitor/timeline/range) is mounted around this handler by
+// cli.Node.Routes.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/predict_proba", g.handleProxy)
@@ -253,10 +247,6 @@ func (g *Gateway) Handler() http.Handler {
 			replica = g.idPrefix
 		}
 		mux.Handle("/federate", fed.ReplicaHandlerServing(g.cfg.Monitor, replica, g.servingDoc))
-	}
-	if g.cfg.Labels != nil {
-		mux.Handle("/labels", g.cfg.Labels.Handler())
-		mux.Handle("/labels/", g.cfg.Labels.Handler())
 	}
 	return mux
 }
@@ -529,18 +519,11 @@ func (g *Gateway) servingDoc() *fed.ServingDoc {
 	}
 }
 
-// handleSLO serves the SLO document with the monitor endpoints' cache
-// hygiene: explicit Content-Type, Cache-Control: no-store (live
-// operational state must never be cached).
+// handleSLO and handleStatus serve live operational state with the
+// monitor endpoints' cache hygiene (monitor.WriteJSON).
 func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Cache-Control", "no-store")
-	if err := json.NewEncoder(w).Encode(g.SLO()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if monitor.GuardGet(w, r) {
+		monitor.WriteJSON(w, g.SLO())
 	}
 }
 
@@ -556,8 +539,7 @@ type Status struct {
 }
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+	if !monitor.GuardGet(w, r) {
 		return
 	}
 	st := Status{
@@ -572,10 +554,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		summary := g.cfg.Monitor.Summarize()
 		st.Monitor = &summary
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(st); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	monitor.WriteJSON(w, st)
 }
 
 // handleHealthz reports model-quality health: 503 while the performance

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -27,7 +28,15 @@ func TestLabelFeedbackJoinThroughGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon.OnObserve(store.ObserveBatch)
-	g, gwSrv := newGateway(t, Config{Monitor: mon, Labels: store}, cloud.NewServer(f.model).Handler())
+	g, _ := newGateway(t, Config{Monitor: mon}, cloud.NewServer(f.model).Handler())
+	// The daemons mount the label store beside the gateway's handler
+	// (cli.Node.Routes); do the same on an outer mux.
+	mux := http.NewServeMux()
+	mux.Handle("/", g.Handler())
+	mux.Handle("/labels", store.Handler())
+	mux.Handle("/labels/", store.Handler())
+	gwSrv := httptest.NewServer(mux)
+	t.Cleanup(gwSrv.Close)
 
 	resp, respBody := post(t, gwSrv.URL, encodeBatch(t, f.serving))
 	if resp.StatusCode != http.StatusOK {

@@ -23,18 +23,24 @@ const (
 // or SIGTERM it stops accepting connections and drains in-flight
 // requests for up to drain before exiting. It returns nil after a clean
 // drain, the shutdown error when the drain deadline is exceeded, or the
-// listener error if serving fails outright. Shared by ppm-serve and
-// ppm-gateway so every serving binary behaves the same under
-// orchestrator restarts.
+// listener error if serving fails outright.
 func ListenAndServe(addr string, handler http.Handler, drain time.Duration) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := SignalContext()
 	defer stop()
-	return listenAndServeCtx(ctx, addr, handler, drain)
+	return Serve(ctx, addr, handler, drain)
 }
 
-// listenAndServeCtx is the testable core of ListenAndServe: the caller
-// owns the shutdown trigger.
-func listenAndServeCtx(ctx context.Context, addr string, handler http.Handler, drain time.Duration) error {
+// SignalContext returns a context that SIGINT or SIGTERM cancels: the
+// shutdown trigger every daemon (ppm-serve, ppm-gateway, ppm-monitor,
+// ppm-aggregate) drains on, so all of them behave the same under
+// orchestrator restarts.
+func SignalContext() (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+}
+
+// Serve is ListenAndServe with the caller owning the shutdown trigger:
+// it serves until ctx is done, then drains.
+func Serve(ctx context.Context, addr string, handler http.Handler, drain time.Duration) error {
 	if drain <= 0 {
 		drain = 5 * time.Second
 	}

@@ -22,7 +22,7 @@ func TestListenAndServeCtxShutsDownCleanly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- listenAndServeCtx(ctx, addr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		errCh <- Serve(ctx, addr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, "ok")
 		}), time.Second)
 	}()
@@ -54,7 +54,7 @@ func TestListenAndServeCtxShutsDownCleanly(t *testing.T) {
 }
 
 func TestListenAndServeCtxSurfacesListenerError(t *testing.T) {
-	err := listenAndServeCtx(context.Background(), "256.0.0.1:bogus", http.NotFoundHandler(), time.Second)
+	err := Serve(context.Background(), "256.0.0.1:bogus", http.NotFoundHandler(), time.Second)
 	if err == nil {
 		t.Fatal("invalid address should surface a listener error")
 	}
@@ -77,7 +77,7 @@ func TestListenAndServeCtxDropsStalledHeader(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- listenAndServeCtx(ctx, addr, http.NotFoundHandler(), time.Second) }()
+	go func() { done <- Serve(ctx, addr, http.NotFoundHandler(), time.Second) }()
 	defer func() { cancel(); <-done }()
 
 	var conn net.Conn

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"blackboxval/internal/monitor"
 	"blackboxval/internal/obs"
 )
 
@@ -118,12 +119,11 @@ func (s *Store) handleIngest(w http.ResponseWriter, r *http.Request) {
 		span.SetMetric("joined_rows", float64(res.JoinedRows))
 		span.SetMetric("buffered", float64(res.Buffered))
 	}
-	writeJSON(w, res)
+	monitor.WriteJSON(w, res)
 }
 
 func (s *Store) handleRequests(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+	if !monitor.GuardGet(w, r) {
 		return
 	}
 	budget := 100
@@ -149,21 +149,12 @@ func (s *Store) handleRequests(w http.ResponseWriter, r *http.Request) {
 	if items == nil {
 		items = []WorkItem{}
 	}
-	writeJSON(w, map[string]any{"requests": items})
+	monitor.WriteJSON(w, map[string]any{"requests": items})
 }
 
 func (s *Store) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+	if !monitor.GuardGet(w, r) {
 		return
 	}
-	writeJSON(w, s.Snapshot())
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Cache-Control", "no-store")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	monitor.WriteJSON(w, s.Snapshot())
 }

@@ -1,17 +1,19 @@
 package monitor
 
-// The HTML drift dashboard served at the monitor's root: a static page
-// whose inline script polls GET /timeline and redraws an estimate
-// sparkline against the alarm line, the KS drift trace, the labeled-
-// accuracy credible band (when the label-feedback store feeds the
-// timeline) and a recent-window table. The refresh cadence is
-// configured server-side (Config.DashboardRefresh) and delivered to
-// the page inside the timeline document, so operators tune it with a
-// flag, not by editing JavaScript.
+// The HTML drift dashboard served at the monitor's root and at the
+// fleet aggregator's: a static page whose inline script polls GET
+// /timeline and redraws an estimate sparkline against the alarm line,
+// the KS drift trace, the labeled-accuracy credible band (when the
+// label-feedback store feeds the timeline) and a recent-window table.
+// The refresh cadence is configured server-side
+// (Config.DashboardRefresh) and delivered to the page inside the
+// timeline document, so operators tune it with a flag, not by editing
+// JavaScript.
 
 import (
-	"fmt"
+	"html"
 	"net/http"
+	"strings"
 
 	"blackboxval/internal/obs"
 )
@@ -44,27 +46,44 @@ func (m *Monitor) TimelineDoc() TimelineDoc {
 	}
 }
 
-func (m *Monitor) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	setMonitorHeaders(w, "text/html; charset=utf-8")
-	fmt.Fprint(w, dashboardHTML)
+// DashboardHandler serves the drift dashboard page at "/" (any other
+// path is a 404). The title is its only server-side parameter: every
+// panel beyond the drift chart enables itself from what the endpoints
+// beside the page answer, so one page serves a replica's monitor, the
+// gateway's /monitor/ mount and the fleet aggregator.
+func DashboardHandler(title string) http.Handler {
+	page := strings.ReplaceAll(dashboardHTML, "{{title}}", html.EscapeString(title))
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		if !GuardGet(w, r) {
+			return
+		}
+		SetHeaders(w, "text/html; charset=utf-8")
+		w.Write([]byte(page))
+	})
 }
 
-// dashboardHTML is deliberately dependency-free: no template engine, no
-// asset pipeline, one fetch target. The page reads every dynamic value —
-// including its own refresh interval — from /timeline.
+// dashboardHTML is deliberately dependency-free: no template engine,
+// no asset pipeline. The page reads every dynamic value — including
+// its own refresh interval — from the relative timeline endpoint, and
+// probes the rest:
+//   - relative status: a fleet aggregator answers with its replicas,
+//     which turns on the shard table and stale-shard badge;
+//   - windows carrying fleet_-prefixed series (fleet_ks_max,
+//     fleet_labeled_acc_*, fleet_stale_shards) are drawn from those;
+//   - /slo (absolute: behind the gateway the page sits under
+//     /monitor/) shows the serving latency panel;
+//   - relative timeline/range shows the durable history panel.
+//
+// Whatever 404s stays hidden.
 const dashboardHTML = `<!doctype html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>ppm drift timeline</title>
+<title>{{title}}</title>
 <style>
   body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem; color: #222; }
   h1 { font-size: 1.2rem; }
@@ -77,22 +96,31 @@ const dashboardHTML = `<!doctype html>
   table { border-collapse: collapse; margin-top: 1rem; }
   th, td { border: 1px solid #ccc; padding: .25rem .6rem; text-align: right; }
   th { background: #f0f0f0; }
-  td.alarming { background: #f6d5d5; }
+  td.bad { background: #f6d5d5; }
+  td.name { text-align: left; }
   .meta { color: #666; font-size: .85rem; }
   button { font: inherit; padding: .1rem .5rem; }
 </style>
 </head>
 <body>
-<h1>Performance-predictor drift timeline</h1>
+<h1>{{title}}</h1>
 <div class="status">
   state: <span id="state" class="badge ok">loading…</span>
+  <span id="stale" class="badge stale" style="display:none"></span>
   <span id="gaps" class="badge stale" style="display:none"></span>
   <span class="meta" id="meta"></span>
-  <span class="meta"><a href="/debug/incidents/view">incidents</a></span>
+  <span class="meta" id="inclink"><a href="/debug/incidents/view">incidents</a></span>
 </div>
 <svg id="chart" width="720" height="160" viewBox="0 0 720 160"></svg>
+<div id="shardbox" style="display:none">
+<h2 style="font-size:1rem">Shards</h2>
 <table>
-  <thead><tr><th>window</th><th>batches</th><th>estimate</th><th>labeled acc [95% CI]</th><th>ks_max</th><th>alarm</th></tr></thead>
+  <thead><tr><th>replica</th><th>observed</th><th>max window</th><th>fails</th><th>state</th></tr></thead>
+  <tbody id="shards"></tbody>
+</table>
+</div>
+<table>
+  <thead><tr><th>window</th><th>batches</th><th>estimate</th><th>labeled acc [95% CI]</th><th>ks_max</th><th>alarm</th><th id="stalehead" style="display:none">stale shards</th></tr></thead>
   <tbody id="rows"></tbody>
 </table>
 <div id="slo" style="display:none">
@@ -123,12 +151,19 @@ function line(points, color) {
   var d = points.map(function (p, i) { return (i && !p.gap ? "L" : "M") + p.x.toFixed(1) + " " + p.y.toFixed(1); }).join(" ");
   return '<path d="' + d + '" fill="none" stroke="' + color + '" stroke-width="1.5"/>';
 }
+// series prefers the fleet-merged statistic when the window carries
+// one: a fleet window's fleet_ks_max is the KS of the merged sketches,
+// not a mean over replicas.
+function series(w, name) {
+  var s = w.series || {};
+  return s["fleet_" + name] || s[name];
+}
 function seriesMean(w, name) {
-  var a = w.series && w.series[name];
+  var a = series(w, name);
   return a && a.count ? a.sum / a.count : null;
 }
 function seriesLast(w, name) {
-  var a = w.series && w.series[name];
+  var a = series(w, name);
   return a && a.count ? a.last : null;
 }
 function band(los, his, color) {
@@ -206,43 +241,77 @@ function render(doc) {
     gapBadge.style.display = "none";
   }
 
+  var fleet = windows.some(function (w) { return w.series && w.series.fleet_stale_shards; });
+  document.getElementById("stalehead").style.display = fleet ? "" : "none";
   var rows = windows.slice(-12).reverse().map(function (w) {
     var e = seriesMean(w, "estimate"), k = seriesMean(w, "ks_max"), a = seriesMean(w, "alarm");
     var m = seriesLast(w, "labeled_acc_mean"), lo = seriesLast(w, "labeled_acc_lo95"), hi = seriesLast(w, "labeled_acc_hi95");
     var labCell = (m === null || lo === null || hi === null) ? "–" :
       m.toFixed(3) + " [" + lo.toFixed(3) + ", " + hi.toFixed(3) + "]";
-    return "<tr><td>" + w.index + "</td><td>" + w.batches + "</td><td>" +
+    var row = "<tr><td>" + w.index + "</td><td>" + w.batches + "</td><td>" +
       (e === null ? "–" : e.toFixed(4)) + "</td><td>" + labCell + "</td><td>" + (k === null ? "–" : k.toFixed(4)) +
-      '</td><td class="' + (a ? "alarming" : "") + '">' + (a ? "yes" : "no") + "</td></tr>";
+      '</td><td class="' + (a ? "bad" : "") + '">' + (a ? "yes" : "no") + "</td>";
+    if (fleet) {
+      var s = seriesMean(w, "stale_shards");
+      row += '<td class="' + (s ? "bad" : "") + '">' + (s === null ? "–" : s) + "</td>";
+    }
+    return row + "</tr>";
   });
   document.getElementById("rows").innerHTML = rows.join("");
 }
+// renderStatus fills the shard table; only a fleet aggregator's status
+// lists replicas, so on a replica the panel stays hidden.
+function renderStatus(st) {
+  var replicas = st && st.replicas;
+  document.getElementById("shardbox").style.display = replicas ? "" : "none";
+  document.getElementById("inclink").style.display = replicas ? "none" : "";
+  var staleBadge = document.getElementById("stale");
+  if (replicas && st.stale_shards > 0) {
+    staleBadge.style.display = "";
+    staleBadge.textContent = st.stale_shards + " stale shard" + (st.stale_shards > 1 ? "s" : "");
+  } else {
+    staleBadge.style.display = "none";
+  }
+  if (!replicas) return;
+  document.getElementById("shards").innerHTML = replicas.map(function (r) {
+    return '<tr><td class="name">' + r.name + "</td><td>" + r.observed + "</td><td>" +
+      (r.max_window < 0 ? "–" : r.max_window) + "</td><td>" + r.fails +
+      '</td><td class="' + (r.stale ? "bad" : "") + '">' +
+      (r.stale ? "STALE" : (r.alarming ? "alarming" : "ok")) + "</td></tr>";
+  }).join("");
+}
 function ms(v) { return (v * 1000).toFixed(2) + "ms"; }
-// The serving SLO panel reads the gateway's root /slo (absolute: this
-// dashboard is usually mounted under /monitor/). A standalone monitor
-// has no /slo — the panel stays hidden there.
+// The serving SLO panel: a gateway's /slo carries burn rates, the
+// fleet aggregator's merged view the target.
 function renderSLO(doc) {
   var box = document.getElementById("slo");
   if (!doc) { box.style.display = "none"; return; }
   box.style.display = "";
   document.getElementById("slometa").textContent =
-    doc.requests + " requests · " + doc.over_budget + " over a " + ms(doc.budget_seconds) +
-    " budget · burn fast " + doc.burn_fast.toFixed(2) + " / slow " + doc.burn_slow.toFixed(2);
+    doc.requests + " requests · " + doc.over_budget + " over a " + ms(doc.budget_seconds) + " budget · " +
+    (doc.burn_fast !== undefined
+      ? "burn fast " + doc.burn_fast.toFixed(2) + " / slow " + doc.burn_slow.toFixed(2)
+      : "target " + (doc.target * 100).toFixed(2) + "%");
   document.getElementById("slorows").innerHTML = (doc.stages || []).map(function (s) {
-    return "<tr><td>" + s.stage + "</td><td>" + s.count + "</td><td>" +
+    return '<tr><td class="name">' + s.stage + "</td><td>" + s.count + "</td><td>" +
       ms(s.p50) + "</td><td>" + ms(s.p99) + "</td><td>" + ms(s.p999) + "</td><td>" + ms(s.max) + "</td></tr>";
   }).join("");
   document.getElementById("sloex").textContent = (doc.exemplars || []).length
     ? "slowest: " + doc.exemplars.map(function (e) { return e.id + " (" + ms(e.v) + ")"; }).join(", ")
     : "";
 }
+function optional(url) {
+  return fetch(url).then(function (r) { return r.ok ? r.json() : null; }).catch(function () { return null; });
+}
 function poll() {
   Promise.all([
     fetch("timeline").then(function (r) { return r.json(); }),
-    fetch("/slo").then(function (r) { return r.ok ? r.json() : null; }).catch(function () { return null; })
+    optional("status"),
+    optional("/slo")
   ]).then(function (res) {
     render(res[0]);
-    renderSLO(res[1]);
+    renderStatus(res[1]);
+    renderSLO(res[2]);
     if (res[0].refresh_ms > 0) setTimeout(poll, res[0].refresh_ms);
   }).catch(function () { setTimeout(poll, 5000); });
 }

@@ -24,32 +24,17 @@ import (
 // with the model.
 func (m *Monitor) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", m.handleDashboard)
+	mux.Handle("/", DashboardHandler("Performance-predictor drift timeline"))
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		doc := m.TimelineDoc()
-		limit, ok := parseLimit(w, r, len(doc.Windows))
-		if !ok {
-			return
-		}
-		if limit < len(doc.Windows) {
-			doc.Windows = doc.Windows[len(doc.Windows)-limit:]
-		}
-		writeJSON(w, doc)
+		ServeTimeline(w, r, m.TimelineDoc())
 	})
 	mux.HandleFunc("/summary", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
+		if GuardGet(w, r) {
+			WriteJSON(w, m.Summarize())
 		}
-		writeJSON(w, m.Summarize())
 	})
 	mux.HandleFunc("/history", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		if !GuardGet(w, r) {
 			return
 		}
 		history := m.History()
@@ -60,23 +45,38 @@ func (m *Monitor) Handler() http.Handler {
 		if limit < len(history) {
 			history = history[len(history)-limit:]
 		}
-		writeJSON(w, history)
+		WriteJSON(w, history)
 	})
 	mux.HandleFunc("/alarming", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
+		if GuardGet(w, r) {
+			WriteJSON(w, map[string]any{
+				"alarming":   m.Alarming(),
+				"alarm_line": m.AlarmLine(),
+			})
 		}
-		writeJSON(w, map[string]any{
-			"alarming":   m.Alarming(),
-			"alarm_line": m.AlarmLine(),
-		})
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		setMonitorHeaders(w, "text/plain; charset=utf-8")
+		SetHeaders(w, "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// ServeTimeline writes doc as the /timeline response, clipped to the
+// most recent ?limit= windows. A replica's monitor and the fleet
+// aggregator both serve their timelines through it.
+func ServeTimeline(w http.ResponseWriter, r *http.Request, doc TimelineDoc) {
+	if !GuardGet(w, r) {
+		return
+	}
+	limit, ok := parseLimit(w, r, len(doc.Windows))
+	if !ok {
+		return
+	}
+	if limit < len(doc.Windows) {
+		doc.Windows = doc.Windows[len(doc.Windows)-limit:]
+	}
+	WriteJSON(w, doc)
 }
 
 // parseLimit reads ?limit= with the validation contract every limit
@@ -96,17 +96,28 @@ func parseLimit(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 	return limit, true
 }
 
-// setMonitorHeaders applies the shared response hygiene of every
-// monitor endpoint: an explicit Content-Type and Cache-Control:
-// no-store, because all of them report live model state that a cache
-// (or a browser's back button) must never serve stale.
-func setMonitorHeaders(w http.ResponseWriter, contentType string) {
+// GuardGet answers anything but GET with a 405 and reports whether the
+// handler should go on.
+func GuardGet(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method != http.MethodGet {
+		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		return false
+	}
+	return true
+}
+
+// SetHeaders applies the shared response hygiene of every monitoring
+// endpoint: an explicit Content-Type and Cache-Control: no-store,
+// because all of them report live model state that a cache (or a
+// browser's back button) must never serve stale.
+func SetHeaders(w http.ResponseWriter, contentType string) {
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Cache-Control", "no-store")
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	setMonitorHeaders(w, "application/json")
+// WriteJSON writes v as a no-store JSON response.
+func WriteJSON(w http.ResponseWriter, v any) {
+	SetHeaders(w, "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

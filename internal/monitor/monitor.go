@@ -10,6 +10,7 @@ package monitor
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"sync"
 	"time"
@@ -83,6 +84,37 @@ func (c *Config) defaults() {
 	if c.Tracer == nil {
 		c.Tracer = obs.DefaultTracer()
 	}
+}
+
+// RegisterFlags installs the command-line settings every
+// monitor-bearing daemon shares: -hysteresis, -timeline-window,
+// -timeline-capacity and -refresh.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.Hysteresis, "hysteresis", 1, "consecutive violating batches before the alarm fires")
+	fs.IntVar(&c.TimelineWindow, "timeline-window", 1, "batches aggregated into one drift-timeline window")
+	fs.IntVar(&c.TimelineCapacity, "timeline-capacity", 128, "retained drift-timeline windows")
+	c.DashboardRefresh = 5 * time.Second
+	fs.Var((*refreshFlag)(&c.DashboardRefresh), "refresh",
+		"`duration` between dashboard auto-refreshes (<=0 disables)")
+}
+
+// refreshFlag maps the -refresh flag's "<=0 disables" onto
+// Config.DashboardRefresh, where 0 means the default and a negative
+// value disables auto-refresh.
+type refreshFlag time.Duration
+
+func (f *refreshFlag) String() string { return time.Duration(*f).String() }
+
+func (f *refreshFlag) Set(s string) error {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	if d <= 0 {
+		d = -1
+	}
+	*f = refreshFlag(d)
+	return nil
 }
 
 // Record is the monitoring outcome for one serving batch.

@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"context"
+	"flag"
+	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -398,5 +400,39 @@ func TestObserveNaNOutputsReturn(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("observing NaN outputs did not return")
+	}
+}
+
+// TestConfigRegisterFlags pins the shared monitor flags: the defaults,
+// and -refresh's "<=0 disables" mapping onto the config's negative
+// "off" (a zero DashboardRefresh would mean the 5s default instead).
+func TestConfigRegisterFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want time.Duration
+	}{
+		{nil, 5 * time.Second},
+		{[]string{"-refresh", "2s"}, 2 * time.Second},
+		{[]string{"-refresh", "0"}, -1},
+		{[]string{"-refresh", "-3s"}, -1},
+	} {
+		var c Config
+		fs := flag.NewFlagSet("m", flag.ContinueOnError)
+		c.RegisterFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if c.DashboardRefresh != tc.want {
+			t.Errorf("%v: DashboardRefresh = %v, want %v", tc.args, c.DashboardRefresh, tc.want)
+		}
+		if c.Hysteresis != 1 || c.TimelineWindow != 1 || c.TimelineCapacity != 128 {
+			t.Errorf("%v: defaults = %+v", tc.args, c)
+		}
+	}
+	fs := flag.NewFlagSet("m", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	new(Config).RegisterFlags(fs)
+	if err := fs.Parse([]string{"-refresh", "soon"}); err == nil {
+		t.Fatal("-refresh soon accepted")
 	}
 }

@@ -291,18 +291,33 @@ func (b *Bundle) Markdown() string {
 }
 
 // LoadBundle reads one bundle JSON file, as written by the retention
-// ring (used by ppm-diagnose).
+// ring (used by ppm-diagnose and the recorder's -incident-dir reload).
+// Bundles are read back from disk, so a bundle whose parts disagree
+// with each other is rejected here rather than trusted by Markdown.
 func LoadBundle(path string) (*Bundle, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("incident: %w", err)
 	}
+	b, err := decodeBundle(raw)
+	if err != nil {
+		return nil, fmt.Errorf("incident: %s: %w", path, err)
+	}
+	return b, nil
+}
+
+// decodeBundle parses and validates one bundle document.
+func decodeBundle(raw []byte) (*Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, fmt.Errorf("incident: decoding %s: %w", path, err)
+		return nil, fmt.Errorf("decoding: %w", err)
 	}
 	if b.ID == "" {
-		return nil, fmt.Errorf("incident: %s is not an incident bundle (no id)", path)
+		return nil, fmt.Errorf("not an incident bundle (no id)")
+	}
+	if cs := b.ClassShift; cs != nil && len(cs.Serving) != len(cs.Reference) {
+		return nil, fmt.Errorf("class_shift has %d reference and %d serving counts",
+			len(cs.Reference), len(cs.Serving))
 	}
 	return &b, nil
 }

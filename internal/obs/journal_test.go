@@ -247,3 +247,40 @@ func TestDebugSpansHygiene(t *testing.T) {
 		t.Fatalf("bogus limit: status %d, want 400", rec.Code)
 	}
 }
+
+// FuzzReadJournalDir feeds an arbitrary spans-*.jsonl segment to the
+// journal reader (ppm-diagnose -trace reads journals copied from other
+// hosts): it must not panic, must return only named spans, and every
+// trace it yields must stitch and render.
+func FuzzReadJournalDir(f *testing.F) {
+	good, err := json.Marshal(SpanJSON{Name: "gateway_request", TraceID: "t1", SpanID: "s1",
+		Children: []SpanJSON{{Name: "gateway_relay", SpanID: "s2"}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(good, '\n'))
+	f.Add([]byte(`{"name":"a","trace_id":"t","span_id":"x","parent_span_id":"y"}` + "\n" +
+		`{"name":"b","trace_id":"t","span_id":"y","parent_span_id":"x"}` + "\n{\"name\":"))
+	f.Add([]byte("\n\n{}\n{\"name\":\"\"}\nnot json\n"))
+	f.Fuzz(func(t *testing.T, segment []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "spans-000001.jsonl"), segment, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spans, err := ReadJournalDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range spans {
+			if s.Name == "" {
+				t.Fatalf("unnamed span returned: %+v", s)
+			}
+			w, err := StitchTrace(s.TraceID, []TraceFragment{{Service: "fuzz", Spans: spans}})
+			if err != nil {
+				continue
+			}
+			w.Markdown()
+			w.HTML()
+		}
+	})
+}

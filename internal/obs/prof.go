@@ -11,6 +11,7 @@ package obs
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"runtime/pprof"
 	"sync"
@@ -36,6 +37,14 @@ type ProfilerConfig struct {
 	// Cooldown is the minimum spacing between captures (default 30s), so
 	// a flapping alert cannot keep the CPU profiler permanently on.
 	Cooldown time.Duration
+}
+
+// RegisterFlags installs -profile-cpu and -profile-cooldown on fs.
+func (c *ProfilerConfig) RegisterFlags(fs *flag.FlagSet) {
+	fs.DurationVar(&c.CPUDuration, "profile-cpu", 0,
+		"CPU profile duration captured into alert-triggered incident bundles (0 = default 250ms)")
+	fs.DurationVar(&c.Cooldown, "profile-cooldown", 0,
+		"minimum gap between profile captures (0 = default 30s)")
 }
 
 // Profiler captures bounded CPU+heap profile pairs with a cooldown.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for the serving stack, in eight acts:
+# Smoke test for the serving stack, in nine acts:
 #
 #   ppm-serve (backend model server)  <-  ppm-gateway (shadow proxy)  <-  curl / ppm-traffic
 #                                              |
@@ -49,8 +49,12 @@
 # serves the persisted windows, that the history survives a gateway
 # restart onto the same directory, and that ppm-backtest replaying the
 # on-disk windows reproduces the live webhook alert event byte for
-# byte. All acts shut down gracefully (SIGTERM, exercising the
-# shared drain path). Run via `make demo`.
+# byte. Act 9 runs the batch-file monitor: ppm-monitor scores a spool
+# of batch CSVs with the durable store and the act-2 alert rule on,
+# then takes a SIGTERM mid-watch and must exit 0 after draining — the
+# firing event reaches the webhook sink and ppm-backtest replays every
+# scored window from the sealed store. All acts shut down gracefully
+# (SIGTERM, exercising the shared drain path). Run via `make demo`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,20 +63,22 @@ SERVE_ADDR=127.0.0.1:18080
 GW_ADDR=127.0.0.1:18088
 GW2_ADDR=127.0.0.1:18089
 AGG_ADDR=127.0.0.1:18090
+MON_ADDR=127.0.0.1:18091
 SINK_ADDR=127.0.0.1:18099
 WORKDIR="$(mktemp -d)"
 SERVE_PID=""
 GW_PID=""
 GW2_PID=""
 AGG_PID=""
+MON_PID=""
 SINK_PID=""
 
 cleanup() {
   # SIGTERM first so the graceful drain path runs; escalate only if needed.
-  for pid in "$AGG_PID" "$GW_PID" "$GW2_PID" "$SERVE_PID" "$SINK_PID"; do
+  for pid in "$MON_PID" "$AGG_PID" "$GW_PID" "$GW2_PID" "$SERVE_PID" "$SINK_PID"; do
     [ -n "$pid" ] && kill -TERM "$pid" 2>/dev/null || true
   done
-  for pid in "$AGG_PID" "$GW_PID" "$GW2_PID" "$SERVE_PID" "$SINK_PID"; do
+  for pid in "$MON_PID" "$AGG_PID" "$GW_PID" "$GW2_PID" "$SERVE_PID" "$SINK_PID"; do
     [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
   done
   rm -rf "$WORKDIR"
@@ -97,6 +103,7 @@ go build -o "$WORKDIR/ppm-traffic" ./cmd/ppm-traffic
 go build -o "$WORKDIR/ppm-diagnose" ./cmd/ppm-diagnose
 go build -o "$WORKDIR/ppm-aggregate" ./cmd/ppm-aggregate
 go build -o "$WORKDIR/ppm-backtest" ./cmd/ppm-backtest
+go build -o "$WORKDIR/ppm-monitor" ./cmd/ppm-monitor
 
 echo "demo: starting ppm-serve on $SERVE_ADDR (small lr model, quick to train)"
 "$WORKDIR/ppm-serve" -dataset income -model lr -rows 1200 -addr "$SERVE_ADDR" \
@@ -719,4 +726,59 @@ grep -q 'threshold' "$WORKDIR/sweep8.txt" || {
   echo "demo: threshold sweep produced no table:" >&2
   cat "$WORKDIR/sweep8.txt" >&2; exit 1; }
 
-echo "demo: OK — proxying, drift timeline, alerting, request correlation, incident capture, fleet federation, label feedback, the serving SLO observatory, cross-process trace stitching and the durable timeline store (restart-surviving history + bit-exact alert backtesting) all verified"
+# ---- Act 9: ppm-monitor — batch CSVs, SIGTERM drain, offline replay
+
+echo "demo: spooling five batch CSVs (three clean, two scaled) for ppm-monitor"
+mkdir -p "$WORKDIR/spool9"
+for i in 1 2 3; do
+  "$WORKDIR/ppm-validate" genbatch -dataset income -rows 300 -seed "$i" \
+    -out "$WORKDIR/spool9/0$i-clean.csv" >/dev/null
+done
+for i in 4 5; do
+  "$WORKDIR/ppm-validate" genbatch -dataset income -rows 300 -seed "$i" \
+    -corrupt scaling -magnitude 0.95 -out "$WORKDIR/spool9/0$i-scaled.csv" >/dev/null
+done
+
+sink_before9="$(curl -fsS "http://$SINK_ADDR/count" | sed 's/[^0-9]//g')"
+echo "demo: starting ppm-monitor on $MON_ADDR with -tsdb-dir and the act-2 alert rule"
+"$WORKDIR/ppm-monitor" -bundle "$WORKDIR/bundle" -watch "$WORKDIR/spool9" -labels \
+  -interval 100ms -addr "$MON_ADDR" -tsdb-dir "$WORKDIR/tsdb9" \
+  -alert-rules "$WORKDIR/rules.json" -alert-webhook "http://$SINK_ADDR/" \
+  >"$WORKDIR/monitor9.log" 2>&1 &
+MON_PID=$!
+wait_for "http://$MON_ADDR/healthz"
+scored=""
+for _ in $(seq 100); do
+  summary9="$(curl -fsS "http://$MON_ADDR/summary" 2>/dev/null || true)"
+  if echo "$summary9" | grep -q '"Batches":5'; then scored=1; break; fi
+  sleep 0.2
+done
+[ -n "$scored" ] || {
+  echo "demo: ppm-monitor never scored the five spooled batches:" >&2
+  echo "$summary9" >&2
+  cat "$WORKDIR/monitor9.log" >&2; exit 1; }
+
+echo "demo: SIGTERM to ppm-monitor mid-watch (must drain and exit 0)"
+kill -TERM "$MON_PID"
+mon_rc=0
+wait "$MON_PID" || mon_rc=$?
+MON_PID=""
+[ "$mon_rc" -eq 0 ] || {
+  echo "demo: ppm-monitor exited $mon_rc on SIGTERM:" >&2
+  cat "$WORKDIR/monitor9.log" >&2; exit 1; }
+sink_after9="$(curl -fsS "http://$SINK_ADDR/count" | sed 's/[^0-9]//g')"
+[ "${sink_after9:-0}" -gt "${sink_before9:-0}" ] || {
+  echo "demo: ppm-monitor's firing alert never reached the sink before exit" >&2
+  cat "$WORKDIR/monitor9.log" >&2; exit 1; }
+
+echo "demo: replaying ppm-monitor's sealed history with ppm-backtest"
+"$WORKDIR/ppm-backtest" -tsdb-dir "$WORKDIR/tsdb9" -rules "$WORKDIR/rules.json" \
+  -json >"$WORKDIR/backtest9.json"
+tr -d ' \n' <"$WORKDIR/backtest9.json" | grep -q '"windows":5,' || {
+  echo "demo: ppm-backtest did not read all five persisted windows:" >&2
+  cat "$WORKDIR/backtest9.json" >&2; exit 1; }
+grep -q '"state": "firing"' "$WORKDIR/backtest9.json" || {
+  echo "demo: the replayed history holds no firing event:" >&2
+  cat "$WORKDIR/backtest9.json" >&2; exit 1; }
+
+echo "demo: OK — proxying, drift timeline, alerting, request correlation, incident capture, fleet federation, label feedback, the serving SLO observatory, cross-process trace stitching, the durable timeline store (restart-surviving history + bit-exact alert backtesting) and the batch-file monitor's SIGTERM drain all verified"
