@@ -63,8 +63,9 @@ demo:
 # lint, vet, and the race detector (full, not -short) across the
 # telemetry store + alert engine + incident flight recorder + trace
 # journal/stitcher + durable timeline store (internal/obs/... includes
-# internal/obs/incident and internal/obs/tsdb, whose concurrent
-# append-vs-query path runs here), the
+# internal/obs/incident and internal/obs/tsdb, whose readers run
+# against appends, background compaction and retention in
+# TestConcurrentReadsDuringMaintenance), the
 # gateway, the monitor, the mergeable sketches (internal/stats) and the
 # federation aggregator (internal/fed, whose /federate handler and
 # ScrapeOnce run concurrently with ObserveRow in production). `make
@@ -82,7 +83,8 @@ audit: lint
 # the attacker-facing wire decoders: the /labels ingestion body, the
 # W3C traceparent header parser (every proxied request runs it), the
 # on-disk segment decoder (which must keep the valid prefix of any torn
-# or corrupted segment file without panicking), the /predict_proba
+# or corrupted segment file without panicking, and decode any run of
+# records read through the record index exactly as the whole file), the /predict_proba
 # codec, differentially against encoding/json: request decode and
 # response parse must agree on accept/reject and decode bit-equal
 # values, and the response encoder must write json.Encoder's bytes —

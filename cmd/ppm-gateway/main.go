@@ -71,7 +71,7 @@ func main() {
 	var cfg gateway.Config
 	fs.StringVar(&cfg.Backend, "backend", "http://127.0.0.1:8080", "base URL of the model server")
 	fs.DurationVar(&cfg.RequestTimeout, "timeout", 10*time.Second, "per-attempt backend timeout")
-	fs.IntVar(&cfg.MaxRetries, "retries", 2, "retry attempts after the first try on transient backend failures")
+	fs.IntVar(&cfg.MaxRetries, "retries", 2, "retry attempts after the first try on transient backend failures (0 = none)")
 	fs.IntVar(&cfg.ShadowQueueSize, "shadow-queue", 256, "bounded shadow-validation queue size (drop-oldest under pressure)")
 	fs.IntVar(&cfg.Breaker.FailureThreshold, "breaker-failures", 5, "consecutive backend failures that open the circuit breaker")
 	fs.DurationVar(&cfg.Breaker.Cooldown, "breaker-cooldown", 10*time.Second, "how long the breaker stays open before probing")

@@ -14,7 +14,7 @@ import (
 	"blackboxval/internal/obs"
 )
 
-// WatchOptions configures Watch.
+// WatchOptions configures PrepareWatch.
 type WatchOptions struct {
 	// BundleDir holds the artifacts written by Train.
 	BundleDir string
@@ -37,20 +37,11 @@ type WatchOptions struct {
 	Out io.Writer
 }
 
-// Watch loads a bundle, then polls a directory for serving batch CSVs and
-// feeds each new file to a performance monitor, logging one line per
-// batch. It returns the monitor so callers can inspect the final state.
-func Watch(opts WatchOptions) (*monitor.Monitor, error) {
-	mon, run, err := PrepareWatch(opts)
-	if err != nil {
-		return nil, err
-	}
-	return mon, run()
-}
-
 // PrepareWatch loads the bundle and builds the monitor, returning the
 // polling loop as a closure so callers can mount the monitor's HTTP
-// dashboard before the loop starts.
+// dashboard before the loop starts. The loop polls a directory for
+// serving batch CSVs and feeds each new file to the monitor, logging
+// one line per batch.
 func PrepareWatch(opts WatchOptions) (*monitor.Monitor, func() error, error) {
 	if opts.Out == nil {
 		opts.Out = os.Stdout

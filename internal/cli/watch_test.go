@@ -47,7 +47,7 @@ func TestWatchProcessesBatches(t *testing.T) {
 	})
 
 	var out bytes.Buffer
-	mon, err := Watch(WatchOptions{
+	mon, run, err := PrepareWatch(WatchOptions{
 		BundleDir:  bundle,
 		WatchDir:   watchDir,
 		Interval:   10 * time.Millisecond,
@@ -56,6 +56,9 @@ func TestWatchProcessesBatches(t *testing.T) {
 		Out:        &out,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	log := out.String()
@@ -87,7 +90,7 @@ func TestWatchSkipsMalformedCSV(t *testing.T) {
 	})
 
 	var out bytes.Buffer
-	mon, err := Watch(WatchOptions{
+	mon, run, err := PrepareWatch(WatchOptions{
 		BundleDir:  bundle,
 		WatchDir:   watchDir,
 		Interval:   10 * time.Millisecond,
@@ -96,6 +99,9 @@ func TestWatchSkipsMalformedCSV(t *testing.T) {
 		Out:        &out,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "SKIPPED") {
@@ -110,12 +116,16 @@ func TestWatchMissingDirErrors(t *testing.T) {
 	dir := t.TempDir()
 	bundle := filepath.Join(dir, "bundle")
 	trainSmallBundle(t, bundle)
-	if _, err := Watch(WatchOptions{
+	_, run, err := PrepareWatch(WatchOptions{
 		BundleDir:  bundle,
 		WatchDir:   filepath.Join(dir, "nope"),
 		MaxBatches: 1,
 		Out:        &bytes.Buffer{},
-	}); err == nil {
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(); err == nil {
 		t.Fatal("missing watch dir should error")
 	}
 }

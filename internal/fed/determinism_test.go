@@ -143,7 +143,7 @@ func runFleet(t *testing.T, pred *core.Predictor, batches []*linalg.Matrix, nSha
 	cfg := fed.Config{Interval: time.Hour, Timeout: 5 * time.Second, StaleAfter: time.Hour}
 	for i := range shards {
 		shards[i] = detMonitor(t, pred, 1)
-		srv := httptest.NewServer(fed.ReplicaHandler(shards[i], shardName(i)))
+		srv := httptest.NewServer(fed.ReplicaHandlerServing(shards[i], shardName(i), nil))
 		t.Cleanup(srv.Close)
 		cfg.Replicas = append(cfg.Replicas, fed.ReplicaConfig{Name: shardName(i), URL: srv.URL})
 	}
@@ -257,7 +257,7 @@ func TestAggregatorOfOneIsTransparent(t *testing.T) {
 	for _, p := range batches {
 		mon.ObserveProba(p)
 	}
-	srv := httptest.NewServer(fed.ReplicaHandler(mon, "solo"))
+	srv := httptest.NewServer(fed.ReplicaHandlerServing(mon, "solo", nil))
 	defer srv.Close()
 	agg, err := fed.New(fed.Config{
 		Replicas: []fed.ReplicaConfig{{Name: "solo", URL: srv.URL}},
@@ -306,7 +306,7 @@ func TestFleetDocReExportMergesDownstream(t *testing.T) {
 	cfg := fed.Config{Interval: time.Hour, Timeout: 5 * time.Second, StaleAfter: time.Hour}
 	for i := range shards {
 		shards[i] = detMonitor(t, f.pred, 1)
-		srv := httptest.NewServer(fed.ReplicaHandler(shards[i], shardName(i)))
+		srv := httptest.NewServer(fed.ReplicaHandlerServing(shards[i], shardName(i), nil))
 		t.Cleanup(srv.Close)
 		cfg.Replicas = append(cfg.Replicas, fed.ReplicaConfig{Name: shardName(i), URL: srv.URL})
 	}

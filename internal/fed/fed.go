@@ -81,17 +81,12 @@ func BuildDoc(mon *monitor.Monitor, replica string) Doc {
 	}
 }
 
-// ReplicaHandler serves a monitor's federation document at GET
-// <mount>/federate semantics: any GET to the handler returns the
-// current Doc. The gateway mounts it at /federate.
-func ReplicaHandler(mon *monitor.Monitor, replica string) http.Handler {
-	return ReplicaHandlerServing(mon, replica, nil)
-}
-
-// ReplicaHandlerServing is ReplicaHandler with a serving SLO provider:
-// each GET snapshots the provider's ServingDoc into the document. The
-// gateway passes its SLO tracker's snapshot; a nil provider (bare
-// ppm-monitor) omits the section.
+// ReplicaHandlerServing serves a monitor's federation document with
+// GET <mount>/federate semantics: any GET to the handler returns the
+// current Doc, and the gateway mounts it at /federate. With a serving
+// SLO provider each GET snapshots the provider's ServingDoc into the
+// document: the gateway passes its SLO tracker's snapshot; a nil
+// provider (bare ppm-monitor) omits the section.
 func ReplicaHandlerServing(mon *monitor.Monitor, replica string, serving func() *ServingDoc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !monitor.GuardGet(w, r) {

@@ -176,7 +176,7 @@ func TestReplicaHandlerServesDoc(t *testing.T) {
 	for _, p := range servingBatches(t, f, 2, 40) {
 		mon.ObserveProba(p)
 	}
-	srv := httptest.NewServer(fed.ReplicaHandler(mon, "replica-7"))
+	srv := httptest.NewServer(fed.ReplicaHandlerServing(mon, "replica-7", nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL)
@@ -696,7 +696,7 @@ func TestConcurrentFederateAndObserve(t *testing.T) {
 	f := getFixture(t)
 	mon := newMonitor(t, f, 1)
 	probas := servingBatches(t, f, 8, 25)
-	replicaSrv := httptest.NewServer(fed.ReplicaHandler(mon, "race"))
+	replicaSrv := httptest.NewServer(fed.ReplicaHandlerServing(mon, "race", nil))
 	defer replicaSrv.Close()
 	agg := newAggregator(t, []string{replicaSrv.URL}, nil)
 

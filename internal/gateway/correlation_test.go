@@ -42,7 +42,7 @@ func TestRequestIDPinnedOnEveryStatusClass(t *testing.T) {
 		real.ServeHTTP(w, r)
 	})
 	_, gwSrv := newGateway(t, Config{
-		MaxRetries:     -1, // no retries: error paths stay single-attempt
+		MaxRetries:     0, // no retries: error paths stay single-attempt
 		RequestTimeout: 5 * time.Second,
 		Breaker:        BreakerConfig{FailureThreshold: 100, Cooldown: time.Minute},
 		Tracer:         obs.NewTracer(16),
@@ -101,7 +101,7 @@ func TestRequestIDPinnedOnEveryStatusClass(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 	}))
 	defer slow.Close()
-	gSlow, err := New(Config{Backend: slow.URL, MaxRetries: -1,
+	gSlow, err := New(Config{Backend: slow.URL, MaxRetries: 0,
 		RequestTimeout: 20 * time.Millisecond, Tracer: obs.NewTracer(16),
 		Logger: log.New(io.Discard, "", 0)})
 	if err != nil {
@@ -115,7 +115,7 @@ func TestRequestIDPinnedOnEveryStatusClass(t *testing.T) {
 
 	// 502 then 503: a dead backend trips a one-failure breaker; both the
 	// failing response and the shed response carry ids.
-	gDead, err := New(Config{Backend: "http://127.0.0.1:1", MaxRetries: -1,
+	gDead, err := New(Config{Backend: "http://127.0.0.1:1", MaxRetries: 0,
 		RequestTimeout: time.Second, Tracer: obs.NewTracer(16),
 		Breaker: BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute},
 		Logger:  log.New(io.Discard, "", 0)})

@@ -49,7 +49,7 @@ type Config struct {
 	// RequestTimeout bounds each backend attempt (default 10s).
 	RequestTimeout time.Duration
 	// MaxRetries is the number of re-attempts after the first try on
-	// transient failures (default 2).
+	// transient failures (0 = none).
 	MaxRetries int
 	// RetryBaseDelay seeds the exponential backoff schedule: attempt i
 	// waits ~ RetryBaseDelay * 2^i with jitter (default 50ms).
@@ -96,8 +96,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
 	}
 	if c.RetryBaseDelay <= 0 {
 		c.RetryBaseDelay = 50 * time.Millisecond

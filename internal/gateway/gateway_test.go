@@ -485,6 +485,23 @@ func TestShadowQueueDropsOldest(t *testing.T) {
 	}
 }
 
+// MaxRetries 0 means no retries: a failing backend sees one attempt.
+func TestZeroRetriesMeansOneAttempt(t *testing.T) {
+	f := getFixture(t)
+	var hits atomic.Int64
+	_, gwSrv := newGateway(t, Config{MaxRetries: 0, RetryBaseDelay: time.Millisecond},
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			http.Error(w, "overloaded", http.StatusServiceUnavailable)
+		}))
+	if resp, _ := post(t, gwSrv.URL, encodeBatch(t, f.serving)); resp.StatusCode == http.StatusOK {
+		t.Fatal("a 503 backend was relayed as 200")
+	}
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("backend hits = %d, want 1 (MaxRetries 0 = no retries)", got)
+	}
+}
+
 // TestGatewayConfigValidation pins New's error paths.
 func TestGatewayConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {

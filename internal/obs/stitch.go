@@ -43,8 +43,9 @@ type Waterfall struct {
 	Seconds float64        `json:"seconds"` // end of last span minus trace start
 	Rows    []WaterfallRow `json:"rows"`
 	// Roots counts rows promoted to the top level because their parent
-	// span is not present in any fragment. A fully connected trace from
-	// a traced client has exactly one.
+	// span is not present in any fragment, plus one per cycle of parent
+	// links (see StitchTrace). A fully connected trace from a traced
+	// client has exactly one.
 	Roots int `json:"roots"`
 }
 
@@ -58,8 +59,10 @@ type stitchNode struct {
 // StitchTrace merges the fragments' spans belonging to traceID into
 // one waterfall. Spans are linked by span id across fragments;
 // duplicates (the same span present in both a ring dump and a journal)
-// are dropped. An empty waterfall (no matching span anywhere) returns
-// an error.
+// are dropped. Parent links that form a cycle, which only corrupt or
+// hostile journals produce, are cut at the cycle's largest span id,
+// and that span is rendered as a root. An empty waterfall (no matching
+// span anywhere) returns an error.
 func StitchTrace(traceID string, frags []TraceFragment) (*Waterfall, error) {
 	byID := map[string]*stitchNode{}
 	var anon []*stitchNode // spans without ids can still render flat
@@ -98,16 +101,25 @@ func StitchTrace(traceID string, frags []TraceFragment) (*Waterfall, error) {
 	}
 
 	// Link children to parents; spans whose parent is unknown are roots.
+	// So is a span whose link would close a cycle of parent links (A's
+	// parent B, B's parent A): ids link in sorted order, so a cycle is
+	// cut at its largest span id.
 	var roots []*stitchNode
 	ids := make([]string, 0, len(byID))
 	for id := range byID {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids) // deterministic iteration before the time sort
+	linked := map[*stitchNode]*stitchNode{}
 	for _, id := range ids {
 		n := byID[id]
-		if p, ok := byID[n.span.ParentSpanID]; ok && p != n {
+		p, ok := byID[n.span.ParentSpanID]
+		for q := p; ok && q != nil; q = linked[q] {
+			ok = q != n
+		}
+		if ok {
 			p.children = append(p.children, n)
+			linked[n] = p
 		} else {
 			roots = append(roots, n)
 		}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +109,41 @@ func TestStitchDedupAndMissingTrace(t *testing.T) {
 	}
 	if _, err := StitchTrace("ffffffffffffffffffffffffffffffff", frags); err == nil {
 		t.Fatal("unknown trace id should error")
+	}
+}
+
+// Parent links that form a cycle must not hide spans: the cycle is cut
+// at its largest span id, which becomes a root, and its partner and a
+// span hanging off the cycle render beneath it.
+func TestStitchBreaksParentCycles(t *testing.T) {
+	const trace = "4bf92f3577b34da6a3ce929d0e0e4736"
+	t0 := time.Unix(1700000000, 0).UTC()
+	span := func(name, id, parent string, ms int) SpanJSON {
+		return SpanJSON{Name: name, TraceID: trace, SpanID: id, ParentSpanID: parent,
+			Start: t0.Add(time.Duration(ms) * time.Millisecond)}
+	}
+	a := span("A", "000000000000000a", "000000000000000b", 0)
+	b := span("B", "000000000000000b", "000000000000000a", 1)
+	c := span("C", "000000000000000c", "", 2)
+	d := span("D", "000000000000000d", "000000000000000b", 3)
+	for _, tc := range []struct {
+		spans []SpanJSON
+		want  string
+	}{
+		{[]SpanJSON{a, b, c}, "B@0 A@1 C@0"},
+		{[]SpanJSON{d, c, b, a}, "B@0 A@1 D@1 C@0"},
+	} {
+		wf, err := StitchTrace(trace, []TraceFragment{{Service: "svc", Spans: tc.spans}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range wf.Rows {
+			got = append(got, fmt.Sprintf("%s@%d", r.Span.Name, r.Depth))
+		}
+		if strings.Join(got, " ") != tc.want || wf.Roots != 2 {
+			t.Fatalf("rows %v, roots %d; want %s with 2 roots", got, wf.Roots, tc.want)
+		}
 	}
 }
 

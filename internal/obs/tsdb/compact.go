@@ -18,6 +18,14 @@ package tsdb
 // file, synced, then renamed into place before any covered raw segment
 // is deleted; a crash in between leaves shadowed duplicates that the
 // next Open resolves via the compactedThrough watermark.
+//
+// Scheduling: Append never compacts. When it seals a full segment it
+// signals the goroutine the DB owns (maintainLoop), which runs
+// compaction and then retention. A pass holds db.mu only to plan (copy
+// the raw bytes of the eligible buckets) and to install (rename, list
+// the segment, advance compactedThrough, drop shadowed raw segments,
+// enforce retention); the merge, encode and fsync in between hold only
+// maintMu, which serializes passes with explicit Compact calls.
 
 import (
 	"os"
@@ -26,32 +34,136 @@ import (
 	"blackboxval/internal/obs"
 )
 
-// Compact runs one compaction pass followed by retention enforcement.
-// It is called automatically on every segment rotation; calling it
-// explicitly (tests, ppm-backtest maintenance) is safe at any time and
-// cannot change what queries observe, only how it is stored.
+// maintainLoop is the DB's maintenance goroutine: one compaction and
+// retention pass per request from rotateLocked. On stop it runs a
+// pending request before it exits, so after Close every rotation has
+// had its pass.
+func (db *DB) maintainLoop() {
+	defer close(db.done)
+	for {
+		select {
+		case <-db.wake:
+			db.maintain()
+		case <-db.stop:
+			select {
+			case <-db.wake:
+				db.maintain()
+			default:
+			}
+			return
+		}
+	}
+}
+
+// maintain runs one compaction pass followed by retention enforcement,
+// serialized with every other pass.
+func (db *DB) maintain() {
+	db.maintMu.Lock()
+	defer db.maintMu.Unlock()
+	db.compact()
+}
+
+// Compact runs one compaction pass followed by retention enforcement,
+// synchronously. The maintenance goroutine runs the same pass after
+// every segment rotation; calling it explicitly (tests, ppm-backtest
+// maintenance) is safe at any time and cannot change what queries
+// observe, only how it is stored.
 func (db *DB) Compact() {
+	db.maintMu.Lock()
+	defer db.maintMu.Unlock()
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
+	closed := db.closed
+	db.mu.Unlock()
+	if !closed {
+		db.compact()
+	}
+}
+
+// compact folds every sealed, not-yet-compacted bucket into a new
+// level-1 segment, then enforces retention. The caller holds maintMu,
+// so nothing else compacts or deletes segments meanwhile. It takes
+// db.mu twice: to plan (pick the buckets and copy their raw records'
+// bytes) and to install the result; the decode, merge, encode and
+// fsync run between the two, while appends and queries go on.
+func (db *DB) compact() {
+	db.mu.Lock()
+	k := int64(db.cfg.Downsample)
+	start, bucketEnd := db.compactableLocked()
+	if start >= bucketEnd {
+		db.retainLocked()
+		db.mu.Unlock()
 		return
 	}
-	db.compactLocked()
+	runs := db.snapshotLocked(start, bucketEnd-1, true)
+	var path string
+	var seq uint64
+	if len(runs) > 0 {
+		seq = db.nextSeq
+		db.nextSeq++
+		path = filepath.Join(db.cfg.Dir, segmentName(1, seq))
+	}
+	db.mu.Unlock()
+
+	raw := db.decodeRuns(runs)
+	var out []Entry
+	var folded uint64
+	for b, i := start, 0; b < bucketEnd; b += k {
+		j := i
+		for j < len(raw) && raw[j].Window.Index < b+k {
+			j++
+		}
+		if j == i {
+			continue // an empty bucket never becomes a record
+		}
+		ws := make([]obs.Window, 0, j-i)
+		for _, e := range raw[i:j] {
+			ws = append(ws, e.Window)
+		}
+		merged, _ := obs.MergeWindowSet(ws, db.cfg.Quantiles)
+		merged.Index = b
+		out = append(out, Entry{Span: k, Windows: int64(len(ws)), Window: merged})
+		folded += uint64(len(ws))
+		i = j
+	}
+	var info *segmentInfo
+	var err error
+	if len(out) > 0 {
+		info, err = writeCompacted(path, seq, out)
+	}
+
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if info != nil && err == nil {
+		if err = os.Rename(path+".tmp", path); err != nil {
+			os.Remove(path + ".tmp")
+		}
+	}
+	if err != nil {
+		db.cfg.Logger.Warn("tsdb: compaction failed", "err", err)
+	} else {
+		if info != nil {
+			db.segments = append(db.segments, info)
+			db.compactions.Add(1)
+			db.compactedWindows.Add(folded)
+		}
+		db.compactedThrough = bucketEnd
+		db.dropShadowedLocked()
+	}
 	db.retainLocked()
 }
 
-// compactLocked folds every sealed, not-yet-compacted bucket into a new
-// level-1 segment.
-func (db *DB) compactLocked() {
+// compactableLocked returns the index range [start, bucketEnd) of the
+// sealed buckets not yet compacted (empty when start >= bucketEnd).
+func (db *DB) compactableLocked() (start, bucketEnd int64) {
 	k := int64(db.cfg.Downsample)
 	if k <= 1 {
-		return
+		return 0, 0
 	}
 	// Raw windows are compactable only below both caps: the closed-
 	// segment frontier and the head guard of full-resolution windows.
 	var closedEnd int64
 	for _, info := range db.segments {
-		if info.level == 0 && info.records > 0 && info.endIndex > closedEnd {
+		if info.level == 0 && info.records() > 0 && info.endIndex > closedEnd {
 			closedEnd = info.endIndex
 		}
 	}
@@ -59,74 +171,28 @@ func (db *DB) compactLocked() {
 	if head := db.lastIndex + 1 - int64(db.cfg.CompactAfter); head < limit {
 		limit = head
 	}
-	bucketEnd := (limit / k) * k
-	start := ((db.compactedThrough + k - 1) / k) * k
-	if start >= bucketEnd {
-		return
-	}
-	raw := db.loadEntriesLocked(start, bucketEnd-1, true)
-	var out []Entry
-	var folded uint64
-	for b := start; b < bucketEnd; b += k {
-		var ws []obs.Window
-		for _, e := range raw {
-			if e.Window.Index >= b && e.Window.Index < b+k {
-				ws = append(ws, e.Window)
-			}
-		}
-		if len(ws) == 0 {
-			continue // an empty bucket never becomes a record
-		}
-		merged, _ := obs.MergeWindowSet(ws, db.cfg.Quantiles)
-		merged.Index = b
-		out = append(out, Entry{Span: k, Windows: int64(len(ws)), Window: merged})
-		folded += uint64(len(ws))
-	}
-	if len(out) > 0 {
-		info, err := db.writeCompactedLocked(out)
-		if err != nil {
-			db.cfg.Logger.Warn("tsdb: compaction failed", "err", err)
-			return
-		}
-		db.segments = append(db.segments, info)
-		db.compactions.Add(1)
-		db.compactedWindows.Add(folded)
-	}
-	db.compactedThrough = bucketEnd
-	db.dropShadowedLocked()
+	return ((db.compactedThrough + k - 1) / k) * k, (limit / k) * k
 }
 
-// writeCompactedLocked durably writes one level-1 segment: complete
-// temp file, fsync, atomic rename.
-func (db *DB) writeCompactedLocked(entries []Entry) (*segmentInfo, error) {
-	seq := db.nextSeq
-	db.nextSeq++
-	path := filepath.Join(db.cfg.Dir, segmentName(1, seq))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
+// writeCompacted encodes entries as the level-1 segment seq and writes
+// it complete to path+".tmp", fsynced; the caller renames it into
+// place.
+func writeCompacted(path string, seq uint64, entries []Entry) (*segmentInfo, error) {
 	info := &segmentInfo{path: path, level: 1, seq: seq}
 	buf := []byte(segmentMagic)
 	for _, e := range entries {
 		rec, err := encodeRecord(e)
 		if err != nil {
-			f.Close()
-			os.Remove(tmp)
 			return nil, err
 		}
+		info.add(e, recordRef{index: e.Window.Index, end: e.end(), offset: int64(len(buf)), length: int64(len(rec))})
 		buf = append(buf, rec...)
-		if info.records == 0 || e.Window.Index < info.minIndex {
-			info.minIndex = e.Window.Index
-		}
-		if e.end() > info.endIndex {
-			info.endIndex = e.end()
-		}
-		if e.Window.End.After(info.maxEnd) {
-			info.maxEnd = e.Window.End
-		}
-		info.records++
+	}
+	info.bytes = int64(len(buf))
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
@@ -142,10 +208,5 @@ func (db *DB) writeCompactedLocked(entries []Entry) (*segmentInfo, error) {
 		os.Remove(tmp)
 		return nil, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	info.bytes = int64(len(buf))
 	return info, nil
 }

@@ -33,10 +33,29 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 4096)) // saturated lengths
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, _ := decodeSegment(data)
+		entries, refs, _ := decodeSegment(data)
 		for i, e := range entries {
 			if e.Span <= 0 || e.Windows <= 0 || e.Window.Index < 0 {
 				t.Fatalf("entry %d violates record invariants: %+v", i, e)
+			}
+		}
+		// Reads go through the record index: every contiguous run of
+		// records, read as one byte span, must decode to exactly the
+		// whole-segment decode's entries — a single frame at its
+		// offset/length being the one-record run.
+		if len(refs) != len(entries) {
+			t.Fatalf("%d index entries for %d records", len(refs), len(entries))
+		}
+		for i := range refs {
+			for j := i + 1; j <= len(refs) && j <= i+8; j++ {
+				span := data[refs[i].offset : refs[j-1].offset+refs[j-1].length]
+				got, ok := decodeRun(span, refs[i:j])
+				if !ok {
+					t.Fatalf("records [%d, %d) do not decode through the index", i, j)
+				}
+				if a, b := canonical(t, got), canonical(t, entries[i:j]); a != b {
+					t.Fatalf("records [%d, %d) through the index:\n got %s\nwant %s", i, j, a, b)
+				}
 			}
 		}
 		// Whatever survives a decode must re-encode into a segment that
@@ -52,7 +71,7 @@ func FuzzSegmentDecode(f *testing.F) {
 				}
 				re.Write(rec)
 			}
-			again, reTruncated := decodeSegment(re.Bytes())
+			again, _, reTruncated := decodeSegment(re.Bytes())
 			if reTruncated {
 				t.Fatal("re-encoded segment decodes as truncated")
 			}

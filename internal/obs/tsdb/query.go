@@ -1,13 +1,17 @@
 package tsdb
 
-// query.go: the read path. Queries re-read segment files on demand —
-// this is the audit/diagnostic path, so the store keeps no decoded
-// window cache; the page cache makes repeated scans of warm segments
-// cheap. Re-aggregation to a caller-chosen step reuses the same
-// mergeable-statistics rules as compaction (sums via ExactSum merge,
-// quantiles read off merged sketches, never averaged point estimates),
-// so a range query at step=K over raw history equals the compacted
-// record for the same bucket bit-for-bit.
+// query.go: the read path. Queries re-read segment files on demand and
+// keep no decoded window cache (decoded sketch maps take about three
+// times their JSON size). Under db.mu a query only looks up, in each
+// segment's in-memory record index, the stretch of frames that overlaps
+// its range and copies those bytes; the CRC checks, the JSON decode and
+// the merge run after the lock is released, so appends never wait
+// behind a decode, and a 16-window range decodes 16 records, not the
+// 4 MiB segments they sit in. Re-aggregation to a caller-chosen step
+// reuses the same mergeable-statistics rules as compaction (sums via
+// ExactSum merge, quantiles read off merged sketches, never averaged
+// point estimates), so a range query at step=K over raw history equals
+// the compacted record for the same bucket bit-for-bit.
 
 import (
 	"fmt"
@@ -37,45 +41,88 @@ type Point struct {
 	Quantiles map[string]float64 `json:"quantiles,omitempty"`
 }
 
-// loadEntriesLocked reads every effective record overlapping the index
-// range [from, to], sorted by window index. Level-0 records below the
-// compactedThrough watermark are shadowed duplicates of a level-1
-// bucket and are skipped. rawOnly restricts the scan to raw (span 1,
-// level 0) records — the compaction input. The active segment is
-// included: its records were complete single writes, so the page cache
-// serves them back consistently.
-func (db *DB) loadEntriesLocked(from, to int64, rawOnly bool) []Entry {
+// run is a stretch of consecutive records of one segment, copied out
+// under db.mu so that it can be decoded after the lock is released.
+type run struct {
+	path string
+	refs []recordRef
+	buf  []byte
+}
+
+// snapshotLocked copies out the bytes of every effective record
+// overlapping the index range [from, to]: per segment, the one
+// contiguous stretch of frames its record index says overlaps. Level-0
+// records below the compactedThrough watermark are shadowed duplicates
+// of a level-1 bucket and are skipped. rawOnly restricts the scan to
+// raw (span 1, level 0) records — the compaction input. The active
+// segment is included: its index covers only whole frames. Because the
+// bytes are copied, retention may delete a file as soon as the lock is
+// released.
+func (db *DB) snapshotLocked(from, to int64, rawOnly bool) []run {
 	if to < from {
 		return nil
 	}
 	infos := make([]*segmentInfo, 0, len(db.segments)+1)
 	infos = append(infos, db.segments...)
-	if db.actInfo != nil && db.actInfo.records > 0 {
+	if db.actInfo != nil {
 		infos = append(infos, db.actInfo)
 	}
-	var out []Entry
+	var out []run
 	for _, info := range infos {
-		if info.records == 0 || info.minIndex > to || info.endIndex <= from {
+		if info.records() == 0 || info.minIndex > to || info.endIndex <= from {
 			continue
 		}
 		if rawOnly && info.level != 0 {
 			continue
 		}
-		data, err := os.ReadFile(info.path)
+		// Records are in index order and do not overlap, so both edges
+		// are binary searches and everything between them is wanted.
+		refs := info.refs
+		lo := sort.Search(len(refs), func(i int) bool {
+			return refs[i].end > from && (info.level != 0 || refs[i].index >= db.compactedThrough)
+		})
+		hi := sort.Search(len(refs), func(i int) bool { return refs[i].index > to })
+		if lo >= hi {
+			continue
+		}
+		buf, err := readRun(info.path, refs[lo:hi])
 		if err != nil {
 			db.cfg.Logger.Warn("tsdb: segment read failed", "path", info.path, "err", err)
 			continue
 		}
-		entries, _ := decodeSegment(data)
-		for _, e := range entries {
-			if e.Window.Index > to || e.end() <= from {
-				continue
-			}
-			if info.level == 0 && e.Window.Index < db.compactedThrough {
-				continue // shadowed by a compacted bucket
-			}
-			out = append(out, e)
+		out = append(out, run{path: info.path, refs: refs[lo:hi], buf: buf})
+	}
+	return out
+}
+
+// readRun reads the bytes of the consecutive records refs.
+func readRun(path string, refs []recordRef) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	first, last := refs[0], refs[len(refs)-1]
+	buf := make([]byte, last.offset+last.length-first.offset)
+	if _, err := f.ReadAt(buf, first.offset); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// decodeRuns decodes snapshot runs — without db.mu — into entries
+// sorted by window index. A run whose bytes no longer match its index
+// (the file was changed behind the store's back) keeps its valid
+// prefix, as a torn segment does at Open.
+func (db *DB) decodeRuns(runs []run) []Entry {
+	var out []Entry
+	for i := range runs {
+		entries, ok := decodeRun(runs[i].buf, runs[i].refs)
+		if !ok {
+			db.cfg.Logger.Warn("tsdb: segment bytes do not match the record index", "path", runs[i].path)
 		}
+		runs[i].buf = nil // let the copy go as soon as it is decoded
+		out = append(out, entries...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Window.Index < out[j].Window.Index })
 	return out
@@ -86,9 +133,10 @@ func (db *DB) loadEntriesLocked(from, to int64, rawOnly bool) []Entry {
 // compacted buckets where it does not. This is the backtest input.
 func (db *DB) Entries(from, to int64) []Entry {
 	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.queries.Add(1)
-	return db.loadEntriesLocked(from, to, false)
+	runs := db.snapshotLocked(from, to, false)
+	db.mu.Unlock()
+	return db.decodeRuns(runs)
 }
 
 // Bounds reports the lowest and highest window index with persisted
@@ -102,7 +150,7 @@ func (db *DB) Bounds() (min, max int64, ok bool) {
 		infos = append(infos, db.actInfo)
 	}
 	for _, info := range infos {
-		if info.records == 0 {
+		if info.records() == 0 {
 			continue
 		}
 		if !ok || info.minIndex < min {

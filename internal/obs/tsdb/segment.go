@@ -20,7 +20,10 @@ package tsdb
 //
 // Integers are little-endian. Decoding stops at the first anomaly
 // (short frame, CRC mismatch, invalid JSON, zero/oversized length) and
-// keeps the valid prefix; the caller counts the truncation.
+// keeps the valid prefix; the caller counts the truncation. The DB
+// keeps a recordRef per record in memory, so a read decodes only the
+// frames it needs, and decodeFrame checks each one exactly as the
+// whole-file decode does.
 
 import (
 	"encoding/binary"
@@ -69,39 +72,81 @@ func encodeRecord(e Entry) ([]byte, error) {
 	return buf, nil
 }
 
+// recordRef locates one record in its segment file: the window indices
+// [index, end) it covers and its whole frame, header included, at
+// [offset, offset+length). Records sit in a segment in index order, so
+// a segment's refs are sorted by index and by offset alike.
+type recordRef struct {
+	index, end     int64
+	offset, length int64
+}
+
+// decodeFrame decodes the record frame at the start of buf and returns
+// it with the frame's length, or ok=false on a short or oversized
+// frame, a CRC mismatch, invalid JSON or a payload that breaks the
+// record invariants. Every read of persisted records goes through it.
+func decodeFrame(buf []byte) (e Entry, n int, ok bool) {
+	if len(buf) < 8 {
+		return Entry{}, 0, false
+	}
+	size := binary.LittleEndian.Uint32(buf[0:4])
+	sum := binary.LittleEndian.Uint32(buf[4:8])
+	if size == 0 || size > maxRecordBytes || int64(size) > int64(len(buf)-8) {
+		return Entry{}, 0, false
+	}
+	payload := buf[8 : 8+int(size)]
+	if crc32.ChecksumIEEE(payload) != sum {
+		return Entry{}, 0, false
+	}
+	if err := json.Unmarshal(payload, &e); err != nil {
+		return Entry{}, 0, false
+	}
+	if e.Span <= 0 || e.Windows <= 0 || e.Window.Index < 0 {
+		return Entry{}, 0, false
+	}
+	return e, 8 + int(size), true
+}
+
 // decodeSegment parses a whole segment file. It returns every record of
-// the valid prefix and whether the file ended cleanly; truncated=true
-// means a torn or corrupt tail (or a missing/garbled header) was
-// detected and everything from that point on was skipped.
-func decodeSegment(data []byte) (entries []Entry, truncated bool) {
+// the valid prefix with the index locating each one, and whether the
+// file ended cleanly; truncated=true means a torn or corrupt tail (or a
+// missing/garbled header) was detected and everything from that point
+// on was skipped.
+func decodeSegment(data []byte) (entries []Entry, refs []recordRef, truncated bool) {
 	if len(data) < len(segmentMagic) || string(data[:len(segmentMagic)]) != segmentMagic {
-		return nil, true
+		return nil, nil, true
 	}
 	off := len(segmentMagic)
 	for off < len(data) {
-		if len(data)-off < 8 {
-			return entries, true
-		}
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n == 0 || n > maxRecordBytes || int(n) > len(data)-off-8 {
-			return entries, true
-		}
-		payload := data[off+8 : off+8+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return entries, true
-		}
-		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return entries, true
-		}
-		if e.Span <= 0 || e.Windows <= 0 || e.Window.Index < 0 {
-			return entries, true
+		e, n, ok := decodeFrame(data[off:])
+		if !ok {
+			return entries, refs, true
 		}
 		entries = append(entries, e)
-		off += 8 + int(n)
+		refs = append(refs, recordRef{index: e.Window.Index, end: e.end(), offset: int64(off), length: int64(n)})
+		off += n
 	}
-	return entries, false
+	return entries, refs, false
+}
+
+// decodeRun decodes buf, the bytes of the consecutive records refs
+// (refs[0].offset maps to buf[0]), checking every frame against its
+// index entry. On the first mismatch it returns the entries before it
+// and false.
+func decodeRun(buf []byte, refs []recordRef) ([]Entry, bool) {
+	entries := make([]Entry, 0, len(refs))
+	for _, r := range refs {
+		at := r.offset - refs[0].offset
+		if at < 0 || at > int64(len(buf)) {
+			return entries, false
+		}
+		e, n, ok := decodeFrame(buf[at:])
+		if !ok || int64(n) != r.length || e.Window.Index != r.index || e.end() != r.end {
+			return entries, false
+		}
+		entries = append(entries, e)
+	}
+	return entries, true
 }
 
 // Segment file names: seg-L<level>-<seq>.seg, zero-padded so a

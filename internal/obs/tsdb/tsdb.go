@@ -81,31 +81,65 @@ func (c *Config) defaults() {
 	}
 }
 
-// segmentInfo indexes one closed segment file.
+// segmentInfo indexes one segment file.
 type segmentInfo struct {
-	path    string
-	level   int
-	seq     uint64
-	bytes   int64
-	records int
+	path  string
+	level int
+	seq   uint64
+	bytes int64
+	// refs locates every whole record in the file, in index order.
+	// Reads go through it, so they never see a partial frame.
+	refs []recordRef
 	// minIndex and endIndex bracket the covered window indices
-	// [minIndex, endIndex); meaningless when records == 0.
+	// [minIndex, endIndex); meaningless when the segment has no records.
 	minIndex int64
 	endIndex int64
 	// maxEnd is the newest window End in the segment (age retention).
 	maxEnd time.Time
 }
 
+// records is the number of whole records in the segment.
+func (info *segmentInfo) records() int { return len(info.refs) }
+
+// add indexes one record written at ref.
+func (info *segmentInfo) add(e Entry, ref recordRef) {
+	if len(info.refs) == 0 || e.Window.Index < info.minIndex {
+		info.minIndex = e.Window.Index
+	}
+	if e.end() > info.endIndex {
+		info.endIndex = e.end()
+	}
+	if e.Window.End.After(info.maxEnd) {
+		info.maxEnd = e.Window.End
+	}
+	info.refs = append(info.refs, ref)
+}
+
+// segmentFile is what the DB needs of the active segment's file; tests
+// substitute one whose writes fail part-way.
+type segmentFile interface {
+	WriteAt(p []byte, off int64) (int, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // DB is the windowed on-disk store. It is safe for concurrent use;
 // Append is designed as an obs.TimeSeries / fed.Aggregator
 // OnWindowClose hook. Appends after Close are dropped.
+//
+// db.mu guards the segment list and the record index. Readers hold it
+// only to copy the bytes of the records they need, and decode after
+// releasing it. Compaction and retention run on a goroutine the DB
+// owns (see compact.go), so Append only writes one frame and, when the
+// segment is full, seals it.
 type DB struct {
 	cfg Config
 
 	mu       sync.Mutex
 	closed   bool
 	segments []*segmentInfo // closed segments, creation order
-	active   *os.File
+	active   segmentFile
 	actInfo  *segmentInfo
 	nextSeq  uint64
 	// lastIndex is the highest window index ever appended (-1 = none);
@@ -114,6 +148,16 @@ type DB struct {
 	// compactedThrough shadows raw records: every level-0 record with
 	// index below it has been folded into a level-1 bucket.
 	compactedThrough int64
+
+	// maintMu serializes maintenance passes: the goroutine's and
+	// explicit Compact calls.
+	maintMu sync.Mutex
+	// wake holds at most one pending maintenance request; stop ends the
+	// maintenance goroutine, which closes done on exit. All three are
+	// nil on a read-only DB.
+	wake chan struct{}
+	stop chan struct{}
+	done chan struct{}
 
 	appended         atomic.Uint64
 	appendErrors     atomic.Uint64
@@ -126,9 +170,10 @@ type DB struct {
 
 // Open scans dir, indexes the surviving segments (counting torn or
 // corrupt ones instead of failing), finishes any compaction that was
-// interrupted between rename and cleanup, and starts a fresh active
+// interrupted between rename and cleanup, starts a fresh active
 // segment — it never appends into a file an earlier process wrote, so a
-// torn tail from a crash stays confined to its own segment.
+// torn tail from a crash stays confined to its own segment — and starts
+// the maintenance goroutine that Close stops.
 func Open(cfg Config) (*DB, error) {
 	db, err := scan(cfg)
 	if err != nil {
@@ -147,15 +192,19 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db.retainLocked()
+	db.wake = make(chan struct{}, 1)
+	db.stop = make(chan struct{})
+	db.done = make(chan struct{})
+	go db.maintainLoop()
 	return db, nil
 }
 
 // OpenReadOnly indexes dir without writing anything: no active segment
 // is started, stale temp files stay, shadowed raw segments are skipped
-// in memory instead of deleted, and no retention runs — the store is a
-// pure reader another process (ppm-backtest auditing a live monitor's
-// directory) can point at a directory it does not own. Appends are
-// dropped; Close is a no-op.
+// in memory instead of deleted, and no maintenance goroutine or
+// retention runs — the store is a pure reader another process
+// (ppm-backtest auditing a live monitor's directory) can point at a
+// directory it does not own. Appends are dropped; Close is a no-op.
 func OpenReadOnly(cfg Config) (*DB, error) {
 	db, err := scan(cfg)
 	if err != nil {
@@ -191,22 +240,14 @@ func scan(cfg Config) (*DB, error) {
 			cfg.Logger.Warn("tsdb: unreadable segment skipped", "path", path, "err", err)
 			continue
 		}
-		entries, truncated := decodeSegment(data)
+		entries, refs, truncated := decodeSegment(data)
 		if truncated {
 			db.corruptSegments.Add(1)
 			cfg.Logger.Warn("tsdb: torn segment tail skipped", "path", path, "valid_records", len(entries))
 		}
-		info := &segmentInfo{path: path, level: level, seq: seq, bytes: int64(len(data)), records: len(entries)}
+		info := &segmentInfo{path: path, level: level, seq: seq, bytes: int64(len(data))}
 		for i, e := range entries {
-			if i == 0 || e.Window.Index < info.minIndex {
-				info.minIndex = e.Window.Index
-			}
-			if e.end() > info.endIndex {
-				info.endIndex = e.end()
-			}
-			if e.Window.End.After(info.maxEnd) {
-				info.maxEnd = e.Window.End
-			}
+			info.add(e, refs[i])
 			if e.end()-1 > db.lastIndex {
 				db.lastIndex = e.end() - 1
 			}
@@ -244,7 +285,8 @@ func (db *DB) openSegmentLocked() error {
 // errors are counted and logged, never returned, so a full disk can't
 // take the serving path down with it. Windows must arrive in increasing
 // index order (the timeline closes them that way); stragglers at or
-// below the high-water mark are dropped.
+// below the high-water mark are dropped. A write that fails part-way is
+// cut back off the file, so the segment only ever holds whole frames.
 func (db *DB) Append(w obs.Window) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -256,41 +298,46 @@ func (db *DB) Append(w obs.Window) {
 		db.cfg.Logger.Warn("tsdb: out-of-order window dropped", "index", w.Index, "last", db.lastIndex)
 		return
 	}
-	rec, err := encodeRecord(Entry{Span: 1, Windows: 1, Window: w})
+	e := Entry{Span: 1, Windows: 1, Window: w}
+	rec, err := encodeRecord(e)
 	if err != nil {
 		db.appendErrors.Add(1)
 		db.cfg.Logger.Warn("tsdb: append failed", "err", err)
 		return
 	}
-	if db.actInfo.records > 0 && db.actInfo.bytes+int64(len(rec)) > db.cfg.SegmentBytes {
+	if db.actInfo.records() > 0 && db.actInfo.bytes+int64(len(rec)) > db.cfg.SegmentBytes {
 		if err := db.rotateLocked(); err != nil {
 			db.appendErrors.Add(1)
 			db.cfg.Logger.Warn("tsdb: segment rotation failed", "err", err)
 			return
 		}
 	}
-	if _, err := db.active.Write(rec); err != nil {
+	off := db.actInfo.bytes
+	if _, err := db.active.WriteAt(rec, off); err != nil {
 		db.appendErrors.Add(1)
 		db.cfg.Logger.Warn("tsdb: append failed", "err", err)
+		// Cut the partial frame off; if even that fails, seal the
+		// segment as is (its index ends at the last whole frame) and
+		// go on in a fresh one.
+		if terr := db.active.Truncate(off); terr != nil {
+			db.cfg.Logger.Warn("tsdb: truncating a failed append failed; rolling the segment", "err", terr)
+			if rerr := db.rotateLocked(); rerr != nil {
+				db.cfg.Logger.Warn("tsdb: segment rotation failed", "err", rerr)
+			}
+		}
 		return
 	}
-	if db.actInfo.records == 0 {
-		db.actInfo.minIndex = w.Index
-	}
-	db.actInfo.records++
+	db.actInfo.add(e, recordRef{index: w.Index, end: w.Index + 1, offset: off, length: int64(len(rec))})
 	db.actInfo.bytes += int64(len(rec))
-	db.actInfo.endIndex = w.Index + 1
-	if w.End.After(db.actInfo.maxEnd) {
-		db.actInfo.maxEnd = w.End
-	}
 	db.lastIndex = w.Index
 	db.appended.Add(1)
 }
 
-// rotateLocked seals the active segment and starts a fresh one, then
-// runs compaction and retention — the only scheduled maintenance hook,
-// though Compact may also be called explicitly at any time (the
-// determinism contract makes the schedule unobservable in the data).
+// rotateLocked seals the active segment, starts a fresh one and asks
+// the maintenance goroutine for a compaction and retention pass. It is
+// the only scheduled maintenance hook, though Compact may also be
+// called explicitly at any time (the determinism contract makes the
+// schedule unobservable in the data).
 func (db *DB) rotateLocked() error {
 	if err := db.sealActiveLocked(); err != nil {
 		return err
@@ -298,8 +345,10 @@ func (db *DB) rotateLocked() error {
 	if err := db.openSegmentLocked(); err != nil {
 		return err
 	}
-	db.compactLocked()
-	db.retainLocked()
+	select {
+	case db.wake <- struct{}{}:
+	default: // a pass is already pending; it will see this segment too
+	}
 	return nil
 }
 
@@ -313,7 +362,7 @@ func (db *DB) sealActiveLocked() error {
 	db.active, db.actInfo = nil, nil
 	syncErr := f.Sync()
 	closeErr := f.Close()
-	if info.records == 0 {
+	if info.records() == 0 {
 		os.Remove(info.path)
 	} else {
 		db.segments = append(db.segments, info)
@@ -329,7 +378,7 @@ func (db *DB) sealActiveLocked() error {
 func (db *DB) dropShadowedLocked() {
 	kept := db.segments[:0]
 	for _, info := range db.segments {
-		if info.level == 0 && info.records > 0 && info.endIndex <= db.compactedThrough {
+		if info.level == 0 && info.records() > 0 && info.endIndex <= db.compactedThrough {
 			os.Remove(info.path)
 			db.cfg.Logger.Info("tsdb: dropped compacted raw segment", "path", info.path)
 			continue
@@ -353,7 +402,10 @@ func (db *DB) retainLocked() {
 		}
 		return a.seq < b.seq
 	})
-	total := db.actInfo.bytes
+	var total int64
+	if db.actInfo != nil {
+		total = db.actInfo.bytes
+	}
 	for _, info := range db.segments {
 		total += info.bytes
 	}
@@ -363,7 +415,7 @@ func (db *DB) retainLocked() {
 	}
 	kept := db.segments[:0]
 	for _, info := range db.segments {
-		expired := !cutoff.IsZero() && info.records > 0 && info.maxEnd.Before(cutoff)
+		expired := !cutoff.IsZero() && info.records() > 0 && info.maxEnd.Before(cutoff)
 		oversize := total > db.cfg.RetentionBytes
 		if expired || oversize {
 			os.Remove(info.path)
@@ -378,14 +430,24 @@ func (db *DB) retainLocked() {
 	db.segments = kept
 }
 
-// Close seals the active segment. Further appends are dropped.
+// Close stops the maintenance goroutine, letting it finish the pass in
+// hand and any pending one, then seals the active segment. Further
+// appends are dropped.
 func (db *DB) Close() error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.closed {
+		db.mu.Unlock()
 		return nil
 	}
 	db.closed = true
+	db.mu.Unlock()
+	close(db.stop)
+	<-db.done
+	// An explicit Compact that saw the DB open may still be running.
+	db.maintMu.Lock()
+	defer db.maintMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.sealActiveLocked()
 }
 
@@ -419,12 +481,12 @@ func (db *DB) Stats() Stats {
 	for _, info := range db.segments {
 		s.Segments++
 		s.Bytes += info.bytes
-		s.Windows += info.records
+		s.Windows += info.records()
 	}
 	if db.actInfo != nil {
 		s.Segments++
 		s.Bytes += db.actInfo.bytes
-		s.Windows += db.actInfo.records
+		s.Windows += db.actInfo.records()
 	}
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"blackboxval/internal/obs"
@@ -184,6 +185,92 @@ func TestFullyCorruptSegmentSkipped(t *testing.T) {
 	}
 }
 
+// shortWriter fails the writes numbered in failOn (counting from 0)
+// after writing half of the frame, as a disk filling up mid-write
+// would; with failTruncate the cleanup fails too.
+type shortWriter struct {
+	*os.File
+	writes       int
+	failOn       map[int]bool
+	failTruncate bool
+}
+
+func (w *shortWriter) WriteAt(p []byte, off int64) (int, error) {
+	w.writes++
+	if w.failOn[w.writes-1] {
+		n, _ := w.File.WriteAt(p[:len(p)/2], off)
+		return n, syscall.ENOSPC
+	}
+	return w.File.WriteAt(p, off)
+}
+
+func (w *shortWriter) Truncate(size int64) error {
+	if w.failTruncate {
+		return syscall.EIO
+	}
+	return w.File.Truncate(size)
+}
+
+// A write that fails part-way must not strand the records after it or
+// leave a torn tail: the partial frame is cut off (or, if that fails
+// too, the segment is sealed at its last whole frame and appends go on
+// in a fresh one), so every other append stays readable now and after
+// a reopen.
+func TestShortWriteKeepsWholeFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		failOn       map[int]bool // of the appends of windows 3, 4, 5
+		failTruncate bool
+		want         []int
+		corrupt      uint64 // segments the reopen must count as torn
+	}{
+		{"truncated", map[int]bool{0: true, 2: true}, false, []int{0, 1, 2, 4}, 0},
+		{"rolled", map[int]bool{0: true}, true, []int{0, 1, 2, 4, 5}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			windows := makeWindows(t, 6, 12)
+			db := openTestDB(t, dir, func(c *Config) { c.Downsample = 1 })
+			for _, w := range windows[:3] {
+				db.Append(w)
+			}
+			db.mu.Lock()
+			db.active = &shortWriter{File: db.active.(*os.File), failOn: tc.failOn, failTruncate: tc.failTruncate}
+			db.mu.Unlock()
+			for _, w := range windows[3:] {
+				db.Append(w)
+			}
+			if got, want := db.appendErrors.Load(), uint64(len(tc.failOn)); got != want {
+				t.Fatalf("append errors = %d, want %d", got, want)
+			}
+			var wantWs []obs.Window
+			for _, i := range tc.want {
+				wantWs = append(wantWs, windows[i])
+			}
+			check := func(db *DB) {
+				t.Helper()
+				var got []obs.Window
+				for _, e := range db.Entries(0, 5) {
+					got = append(got, e.Window)
+				}
+				if g, w := canonical(t, got), canonical(t, wantWs); g != w {
+					t.Fatalf("entries after a short write:\n got %.300s\nwant %.300s", g, w)
+				}
+			}
+			check(db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2 := openTestDB(t, dir, func(c *Config) { c.Downsample = 1 })
+			defer db2.Close()
+			if got := db2.CorruptSegments(); got != tc.corrupt {
+				t.Fatalf("CorruptSegments() = %d after reopen, want %d", got, tc.corrupt)
+			}
+			check(db2)
+		})
+	}
+}
+
 func TestOutOfOrderAppendDropped(t *testing.T) {
 	dir := t.TempDir()
 	db := openTestDB(t, dir, nil)
@@ -207,9 +294,13 @@ func TestRetentionBytes(t *testing.T) {
 		c.RetentionBytes = 24 << 10
 		c.Downsample = 1
 	})
-	defer db.Close()
 	for _, w := range makeWindows(t, 60, 7) {
 		db.Append(w)
+	}
+	// Retention runs on the maintenance goroutine; Close returns once
+	// every pass the rotations asked for has run.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 	st := db.Stats()
 	if st.Bytes > 40<<10 {
@@ -281,7 +372,7 @@ func TestCompactionDownsamplesOldHistory(t *testing.T) {
 	raws, _ := filepath.Glob(filepath.Join(dir, "seg-L0-*.seg"))
 	for _, p := range raws {
 		data, _ := os.ReadFile(p)
-		es, _ := decodeSegment(data)
+		es, _, _ := decodeSegment(data)
 		for _, e := range es {
 			if e.end() <= 24 { // compactedThrough for 32 windows, K=4, guard 4
 				t.Fatalf("segment %s still holds shadowed raw window %d", filepath.Base(p), e.Window.Index)
